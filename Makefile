@@ -16,7 +16,7 @@ build:
 test:
 	$(GO) test ./...
 
-# The -race smoke list mirrors the CI race job.
+# The -race smoke list; the CI race job runs this target.
 race:
 	$(GO) test -race \
 		-run 'TestParallelSweepSmoke|TestSweepDeterministicAcrossWorkerCounts|TestFaultSweepDeterministicAcrossWorkerCounts|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestProbeRetransmissionDeterministicAcrossWorkerCounts|TestReplicatedSweepDeterministicAcrossWorkerCounts|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionSweepDeterministicAcrossWorkerCounts|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection' \
@@ -40,9 +40,10 @@ benchdiff:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateMB8$$|BenchmarkCapacitySweep$$' -benchmem -benchtime 3x -json . > bench_head.json
 	$(GO) run ./cmd/benchdiff -old $(BASELINE) -new bench_head.json
 
-# The chaos audits CI runs: randomized fault plans — unreplicated, R=2,
-# R=2 with scheduled network partitions (the split-brain audit), and one
-# audit per alternative concurrency-control paradigm (QueCC, OCC).
+# The chaos audits, run by the CI chaos job: randomized fault plans —
+# unreplicated, R=2, R=2 with scheduled network partitions (the split-brain
+# audit), one audit per alternative concurrency-control paradigm (QueCC,
+# OCC) and the 16-site scale fleet.
 chaos:
 	$(GO) test -run 'TestChaosAuditClean|TestAuditorCleanOnFaultyRun|TestReplicatedChaosAuditClean|TestReplicatedFaultsAuditClean|TestOpenChaosAuditClean|TestPartitionChaosAuditClean|TestPartitionReplicatedAuditClean|TestQueCCChaosAuditClean|TestOCCChaosAuditClean|TestScaleChaosAuditClean' -v \
 		./internal/experiment/ ./internal/testbed/

@@ -225,17 +225,30 @@ func BenchmarkReplicatedSweep(b *testing.B) {
 }
 
 // BenchmarkSimulateHourMB8 isolates the simulator: one simulated hour of
-// the MB8 workload per iteration.
+// the MB8 workload per iteration. It reports resumes/commit, the kernel's
+// coroutine resumes over the whole run (warm-up included) per transaction
+// committed in the measurement window: the switch count the kernel's
+// process layer costs per unit of work.
 func BenchmarkSimulateHourMB8(b *testing.B) {
+	var resumes, commits int64
 	for i := 0; i < b.N; i++ {
-		meas, err := Simulate(WorkloadMB8(12), SimOptions{Seed: uint64(i + 1), WarmupMS: 60_000, DurationMS: 3_660_000})
+		e := SimOptions{Seed: uint64(i + 1), WarmupMS: 60_000, DurationMS: 3_660_000}.fill()
+		sys, err := testbed.New(WorkloadMB8(12).w.TestbedConfig(e.Seed, e.Warmup, e.Duration))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if meas.Nodes[0].TxnPerSec <= 0 {
+		res := sys.Run()
+		if res.Nodes[0].TotalTxnThroughput <= 0 {
 			b.Fatal("simulation stalled")
 		}
+		resumes += sys.Env().Resumes()
+		for _, n := range res.Nodes {
+			for _, c := range n.Commits {
+				commits += c
+			}
+		}
 	}
+	b.ReportMetric(float64(resumes)/float64(commits), "resumes/commit")
 }
 
 // BenchmarkAblationSeparateLogDisk measures the throughput gain from a

@@ -14,6 +14,11 @@
 //	caratsim -ccsweep 1,2,4 -minutes 10                  # 2PL vs QueCC vs OCC lab
 //	caratsim -sites 64 -placement hash -lambda 0.5       # one 64-site scale run
 //	caratsim -scalesweep 0.5,1.0 -minutes 10             # 16/64/128-site scale-out study
+//	caratsim -workload MB8 -cpuprofile cpu.out -memprofile mem.out  # profile a run
+//
+// The -cpuprofile and -memprofile flags write runtime/pprof profiles of
+// whatever the invocation runs (inspect with go tool pprof): CPU samples
+// for the whole run and the live heap at its end.
 //
 // The -sites, -placement and -locality flags select a generated N-site
 // scale configuration (carat.NewScaleConfig) instead of a named workload:
@@ -174,13 +179,20 @@ func main() {
 		replStr = flag.String("repl", "", "replication policy, e.g. 'R=2,read=quorum' (see doc comment)")
 		chaos   = flag.Int("chaos", 0, "run a randomized fault audit with this many runs instead of a measurement")
 		asJSON  = flag.Bool("json", false, "emit measurements as JSON")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+	if err := startProfiles(*cpuProf, *memProf); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	ccMode, err := carat.ParseConcurrencyControl(*cc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	var faultPlan *carat.FaultPlan
@@ -188,7 +200,7 @@ func main() {
 		fp, err := carat.ParseFaultPlan(*faults)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		faultPlan = &fp
 	}
@@ -199,13 +211,13 @@ func main() {
 		if *partStr != "" {
 			if err := carat.ParsePartitions(*partStr, faultPlan); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 		if *grayStr != "" {
 			if err := carat.ParseGraySites(*grayStr, faultPlan); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 	}
@@ -214,7 +226,7 @@ func main() {
 		r, err := carat.ParseResilience(*resil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		resilience = &r
 	}
@@ -223,7 +235,7 @@ func main() {
 		rp, err := carat.ParseReplication(*replStr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		replication = &rp
 	}
@@ -232,14 +244,14 @@ func main() {
 		mix, err := carat.ParseOpenClasses(*classes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		openMix = mix
 	}
 	rampPoints, err := parseRamp(*ramp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	arrivals := carat.OpenArrivals{
 		LambdaPerSec: *lambda,
@@ -250,14 +262,14 @@ func main() {
 	grid, err := parseGrid(*lambdas)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	if *chaos > 0 {
 		wl, err := carat.WorkloadByName(*name, *n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if replication != nil {
 			wl = wl.WithReplication(*replication)
@@ -283,7 +295,7 @@ func main() {
 		mpls, err := parseMPLs(*ccsweep)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		runCCSweep(mpls, opts, *asJSON)
 		return
@@ -299,23 +311,23 @@ func main() {
 		strategy, err := carat.ParsePlacement(*placemt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		siteCounts, err := parseSites(*sites)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		localities, err := parseLocalities(*localty)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if *scsweep != "" {
 			lams, err := parseGrid(*scsweep)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			runScaleSweep(strategy, siteCounts, localities, lams, opts, *asJSON)
 			return
@@ -327,7 +339,7 @@ func main() {
 		wl, err := carat.WorkloadByName(*name, size)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if *logdisk {
 			wl = wl.WithSeparateLogDisks()
@@ -358,7 +370,7 @@ func main() {
 			p, err := carat.PatternByName(*pattern, h, *hotfrac, *theta)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			wl = wl.WithPattern(p)
 		}
@@ -389,7 +401,7 @@ func main() {
 		meas, err := carat.Simulate(wl, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
@@ -401,7 +413,7 @@ func main() {
 				*carat.Measurement
 			}{wl.Name(), size, *seed, meas}); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			continue
 		}
@@ -541,12 +553,12 @@ func runScale(strategy carat.PlacementStrategy, sites int, locality, lambdaPerSi
 	wl, err := carat.NewScaleConfig(sites, strategy, locality, lambdaPerSite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	meas, err := carat.Simulate(wl, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -561,7 +573,7 @@ func runScale(strategy carat.PlacementStrategy, sites int, locality, lambdaPerSi
 			*carat.Measurement
 		}{wl.Name(), sites, string(strategy), locality, lambdaPerSite, opts.Seed, meas}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -594,14 +606,14 @@ func runScaleSweep(strategy carat.PlacementStrategy, sites []int, localities, la
 	report, err := carat.ScaleSweep(strategy, sites, localities, lambdas, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -629,14 +641,14 @@ func runCCSweep(mpls []int, opts carat.SimOptions, asJSON bool) {
 	report, err := carat.CompareConcurrencyControls(nil, mpls, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -688,7 +700,7 @@ func runCapacity(wl carat.Workload, size int, grid []float64, opts carat.SimOpti
 	report, err := carat.CapacitySweep(wl, grid, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -699,7 +711,7 @@ func runCapacity(wl carat.Workload, size int, grid []float64, opts carat.SimOpti
 			*carat.CapacityReport
 		}{size, opts.Seed, report}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -725,14 +737,14 @@ func runChaos(wl carat.Workload, runs int, seed uint64, partitions, asJSON bool)
 	report, err := carat.RunChaos(wl, carat.ChaosOptions{Runs: runs, Seed: seed, Partitions: partitions})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 	} else {
 		fmt.Printf("%s chaos audit: %d runs, fault-free baseline %.2f txn/s\n",
@@ -750,7 +762,7 @@ func runChaos(wl carat.Workload, runs int, seed uint64, partitions, asJSON bool)
 		for _, v := range bad {
 			fmt.Fprintln(os.Stderr, v)
 		}
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -767,7 +779,7 @@ func runReplicated(wl carat.Workload, size int, opts carat.SimOptions, asJSON bo
 	rm, err := carat.SimulateReplicated(wl, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -779,7 +791,7 @@ func runReplicated(wl carat.Workload, size int, opts carat.SimOptions, asJSON bo
 			*carat.ReplicatedMeasurement
 		}{wl.Name(), size, opts.Seed, rm}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}

@@ -6,11 +6,13 @@ import (
 )
 
 // Event kinds. A kernel event either resumes a process continuation or runs
-// a bare callback; start events create the process coroutine first.
+// a bare callback; start events create the process coroutine first, and
+// serve events start the service of a queued Resource.Use at its grant.
 const (
 	evCall uint8 = iota
 	evStart
 	evResume
+	evServe
 )
 
 // event is one scheduled kernel action. Events are pooled: the scheduler
@@ -21,9 +23,10 @@ type event struct {
 	seq      int64
 	kind     uint8
 	canceled bool
-	proc     *Proc  // evStart, evResume
-	err      error  // evResume
-	fn       func() // evCall
+	proc     *Proc      // evStart, evResume
+	err      error      // evResume
+	fn       func()     // evCall
+	rw       *resWaiter // evServe
 }
 
 // eventBefore is the total dispatch order: time, then schedule order.

@@ -63,6 +63,7 @@ type Env struct {
 	now     float64
 	seq     int64
 	procSeq int64
+	resumes int64 // coroutine resumes, for Resumes
 	q       calQueue
 
 	// nowQ[nowHead:] is the same-time FIFO: events scheduled at exactly the
@@ -233,15 +234,27 @@ func (e *Env) dispatch(ev *event) {
 		p.started = true
 		p.next, p.stop = iter.Pull(p.coroutine)
 		e.resume(p, nil)
+	case evServe:
+		w := ev.rw
+		e.q.release(ev)
+		w.r.startService(w)
 	}
 }
 
 // resume transfers control into p's coroutine with err as the result of its
 // pending yield, and returns when p blocks again or terminates.
 func (e *Env) resume(p *Proc, err error) {
+	e.resumes++
 	p.resumeErr = err
 	p.next()
 }
+
+// Resumes returns the number of coroutine resumes the kernel has performed:
+// one per process start and one per blocking call that suspended the
+// process (a fused Hold suspends nothing). Switching is the kernel's
+// dominant host cost, so this is the count a speed-up of the process layer
+// should cut.
+func (e *Env) Resumes() int64 { return e.resumes }
 
 // Live returns the number of spawned processes that have not terminated.
 func (e *Env) Live() int { return e.nlive }
@@ -404,6 +417,21 @@ func (e *Env) wake(p *Proc, err error) {
 }
 
 // Hold advances the process's local time by d. It is not interruptible.
+func (p *Proc) Hold(d float64) {
+	if d < 0 {
+		panic("sim: negative hold")
+	}
+	if !p.env.hold(p, d) {
+		if err := p.yield(); err != nil {
+			panic("sim: Hold interrupted: " + err.Error())
+		}
+	}
+}
+
+// hold starts a hold of d >= 0 for p. It reports true if the hold is
+// already over — d is zero, or the hold fused — and false if p's resume was
+// scheduled at now+d, in which case p must yield (or, if it is not running,
+// stay parked) until then.
 //
 // Fast path ("hold fusion"): when no pending event precedes the hold's
 // expiry and the expiry lies within the active Run bound, the kernel would
@@ -412,27 +440,21 @@ func (e *Env) wake(p *Proc, err error) {
 // coroutine switch, the queue traffic and the event are all skipped. A
 // sequence number is still consumed so the slow path's dispatch order is
 // reproduced exactly.
-func (p *Proc) Hold(d float64) {
-	if d < 0 {
-		panic("sim: negative hold")
-	}
+func (e *Env) hold(p *Proc, d float64) bool {
 	if d == 0 {
-		return
+		return true
 	}
-	e := p.env
 	t := e.now + d
 	if e.running && t <= e.until && e.nowHead == len(e.nowQ) {
 		if min := e.q.peek(); min == nil || min.t > t {
 			e.seq++
 			e.now = t
-			return
+			return true
 		}
 	}
 	ev := e.schedule(t)
 	ev.kind, ev.proc = evResume, p
-	if err := p.yield(); err != nil {
-		panic("sim: Hold interrupted: " + err.Error())
-	}
+	return false
 }
 
 // park blocks the process until woken. Before calling park the primitive

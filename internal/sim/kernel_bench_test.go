@@ -87,6 +87,30 @@ func BenchmarkKernelWake(b *testing.B) {
 	e.RunAll()
 }
 
+// BenchmarkKernelUseQueued measures contended station visits: eight
+// processes cycle through a two-station closed network (one single-server
+// CPU, one single-server disk, unequal service times), so most Uses queue
+// and most services cannot fuse — the other station's completion is
+// pending. Each iteration is one Use.
+func BenchmarkKernelUseQueued(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEnv()
+	cpu := NewResource(e, "cpu", 1)
+	dsk := NewResource(e, "disk", 1)
+	const procs = 8
+	each := b.N/(2*procs) + 1
+	for i := 0; i < procs; i++ {
+		e.Spawn("p", func(p *Proc) {
+			for j := 0; j < each; j++ {
+				_ = cpu.Use(p, 2)
+				_ = dsk.Use(p, 3)
+			}
+		})
+	}
+	e.RunAll()
+	b.ReportMetric(float64(e.Resumes())/float64(2*procs*each), "resumes/op")
+}
+
 // BenchmarkKernelSpawn measures process creation and teardown: spawn,
 // start, immediate return.
 func BenchmarkKernelSpawn(b *testing.B) {

@@ -7,12 +7,12 @@ import (
 )
 
 // Resource is a multi-server service station with a FCFS queue. It models
-// queueing centers such as a CPU or a disk: processes Acquire a server,
-// Hold for their service time, and Release.
+// queueing centers such as a CPU or a disk: a process Uses a server for its
+// service time, or Acquires servers, Holds and Releases them itself.
 //
 // A Resource collects the statistics a queueing study needs: utilization,
-// mean queue length (waiting + in service), completion count, and the wait
-// and residence time distributions.
+// mean queue length (waiting + in service), completion count, and the mean
+// wait and residence times.
 type Resource struct {
 	env     *Env
 	name    string
@@ -29,14 +29,20 @@ type Resource struct {
 	busy        stats.TimeWeighted // number of busy servers over time
 	population  stats.TimeWeighted // waiting + in service
 	completions stats.Counter
-	waitTime    stats.Tally
-	residence   stats.Tally
+	waitSum     float64 // total queue wait of granted customers
+	waitN       int64   // customers granted
+	residSum    float64 // total wait+service of completed Uses
+	residN      int64   // Uses completed
 }
 
+// resWaiter is a queued customer. A Use waiter (serve) carries its service
+// time d: the grant starts the service without resuming the process.
 type resWaiter struct {
 	r       *Resource
 	p       *Proc
 	n       int
+	d       float64
+	serve   bool
 	arrived float64
 	removed bool
 }
@@ -101,9 +107,6 @@ func (r *Resource) Servers() int { return r.servers }
 // InUse returns the number of servers currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting for a server.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.wHead }
-
 // Acquire obtains one server, waiting FCFS if none is free. The wait is
 // interruptible; on interrupt the process leaves the queue and the error is
 // returned.
@@ -114,22 +117,37 @@ func (r *Resource) AcquireN(p *Proc, n int) error {
 	if n < 1 || n > r.servers {
 		panic(fmt.Sprintf("sim: AcquireN(%d) on %q with %d servers", n, r.name, r.servers))
 	}
-	now := r.env.now
-	r.population.Adjust(1, now)
-	if r.wHead == len(r.waiters) && r.inUse+n <= r.servers {
-		r.grant(n)
-		r.waitTime.Add(0)
+	if r.admit(n) {
 		return nil
 	}
+	return r.wait(p, n, 0, false)
+}
+
+// admit counts an arriving customer into the station and grants it n
+// servers at once if no one is queued and they are free.
+func (r *Resource) admit(n int) bool {
+	r.population.Adjust(1, r.env.now)
+	if r.wHead == len(r.waiters) && r.inUse+n <= r.servers {
+		r.grant(n)
+		r.waitN++
+		return true
+	}
+	return false
+}
+
+// wait queues p FCFS for n servers and parks it. An Acquire waiter is
+// resumed at its grant; a Use waiter (serve) is resumed only once its
+// service of d, started at the grant, is over. The wait is interruptible
+// until the grant.
+func (r *Resource) wait(p *Proc, n int, d float64, serve bool) error {
 	w := r.newWaiter(p, n)
+	w.d, w.serve = d, serve
 	r.waiters = append(r.waiters, w)
 	p.waiter = w
 	if err := p.park(); err != nil {
 		r.dispatch() // our slot may now be grantable to someone behind us
 		return err
 	}
-	r.waitTime.Add(r.env.now - w.arrived)
-	r.freeWaiter(w)
 	return nil
 }
 
@@ -158,8 +176,11 @@ func (r *Resource) ReleaseN(n int) {
 }
 
 // dispatch grants servers to queued waiters in FCFS order while capacity
-// allows, skipping waiters removed by interrupts.
+// allows, skipping waiters removed by interrupts. An Acquire waiter is
+// woken; a Use waiter gets a serve event at the current time instead, which
+// consumes the same sequence number the wakeup would have.
 func (r *Resource) dispatch() {
+	e := r.env
 	for r.wHead < len(r.waiters) {
 		w := r.waiters[r.wHead]
 		if w.removed {
@@ -172,22 +193,53 @@ func (r *Resource) dispatch() {
 		}
 		r.popWaiter()
 		r.grant(w.n)
+		r.waitSum += e.now - w.arrived
+		r.waitN++
 		w.p.waiter = nil
-		r.env.wake(w.p, nil)
+		if w.serve {
+			ev := e.schedule(e.now)
+			ev.kind, ev.rw = evServe, w
+			continue
+		}
+		e.wake(w.p, nil)
+		r.freeWaiter(w)
+	}
+}
+
+// startService runs a queued Use's serve event: inside the kernel, it does
+// what the woken process would have done before yielding again — start its
+// hold. Only a fused (or zero) hold resumes the process now, already at the
+// end of its service; otherwise the process stays parked until the hold's
+// resume event. A resumed process runs until it yields with no event in
+// between, so the dispatch order is the same as waking it at the grant.
+func (r *Resource) startService(w *resWaiter) {
+	p, d := w.p, w.d
+	r.freeWaiter(w)
+	if r.env.hold(p, d) {
+		r.env.resume(p, nil)
 	}
 }
 
 // Use acquires a server, holds it for service time d, and releases it.
 // The queue wait is interruptible; once service starts it runs to
 // completion. On interrupt, no service is performed.
+//
+// A queued Use costs one coroutine round-trip, not two: its service starts
+// at the grant (see startService), so the process is resumed only when the
+// service is over.
 func (r *Resource) Use(p *Proc, d float64) error {
+	if d < 0 {
+		panic("sim: negative hold")
+	}
 	start := r.env.now
-	if err := r.Acquire(p); err != nil {
+	if r.admit(1) {
+		p.Hold(d)
+	} else if err := r.wait(p, 1, d, true); err != nil {
 		return err
 	}
-	p.Hold(d)
-	r.residence.Add(r.env.now - start)
-	r.Release()
+	r.residSum += r.env.now - start
+	r.residN++
+	r.ReleaseN(1)
 	return nil
 }
 
@@ -210,11 +262,20 @@ func (r *Resource) Completions() int64 { return r.completions.N() }
 // Throughput returns completions per unit time over the observation window.
 func (r *Resource) Throughput(t float64) float64 { return r.completions.Rate(t) }
 
-// MeanWait returns the average time spent queued before service.
-func (r *Resource) MeanWait() float64 { return r.waitTime.Mean() }
+// MeanWait returns the average time spent queued before service, or 0
+// before the first grant.
+func (r *Resource) MeanWait() float64 { return mean(r.waitSum, r.waitN) }
 
-// MeanResidence returns the average wait+service time observed by Use.
-func (r *Resource) MeanResidence() float64 { return r.residence.Mean() }
+// MeanResidence returns the average wait+service time observed by Use, or
+// 0 before the first completed Use.
+func (r *Resource) MeanResidence() float64 { return mean(r.residSum, r.residN) }
+
+func mean(sum float64, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
 
 // ResetStats truncates the statistics window at time t (e.g. after warm-up)
 // without disturbing the station state.
@@ -223,6 +284,6 @@ func (r *Resource) ResetStats(t float64) {
 	r.busy.Set(float64(r.inUse), t)
 	r.population.ResetAt(t)
 	r.completions.ResetAt(t)
-	r.waitTime.Reset()
-	r.residence.Reset()
+	r.waitSum, r.waitN = 0, 0
+	r.residSum, r.residN = 0, 0
 }

@@ -167,3 +167,30 @@ func TestShutdownDeterministicKillOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestShutdownPendingServe tears the environment down while a queued Use
+// has been granted its server but its serve event has not fired yet: the
+// grant came from outside Run, so the event is still pending. The process
+// must be unwound without ever starting its service.
+func TestShutdownPendingServe(t *testing.T) {
+	e := NewEnv()
+	r := NewResource(e, "cpu", 1)
+	served := false
+	e.Spawn("owner", func(p *Proc) { _ = r.Acquire(p) }) // keeps the server
+	e.Spawn("user", func(p *Proc) {
+		_ = r.Use(p, 5)
+		served = true
+	})
+	e.Run(10)
+	r.Release() // grants the queued Use; its serve event is now pending
+	if r.InUse() != 1 || e.peekNext() == nil {
+		t.Fatalf("in use = %d, pending event = %v; want the Use granted with its serve event queued", r.InUse(), e.peekNext())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Fatalf("Live after Shutdown = %d, want 0", e.Live())
+	}
+	if served {
+		t.Fatal("the killed Use returned")
+	}
+}

@@ -254,6 +254,49 @@ func TestResourceInterruptLeavesQueue(t *testing.T) {
 	}
 }
 
+// TestUseInterruptedWhileQueued interrupts a Use that is still waiting for
+// its server: it must return ErrInterrupted at once, perform no service and
+// leave the station to the customer queued behind it.
+func TestUseInterruptedWhileQueued(t *testing.T) {
+	e := NewEnv()
+	r := NewResource(e, "cpu", 1)
+	var err error
+	var victimDone, thirdDone float64
+	e.Spawn("holder", func(p *Proc) { _ = r.Use(p, 10) })
+	victim := e.Spawn("victim", func(p *Proc) {
+		err = r.Use(p, 5)
+		victimDone = p.Now()
+	})
+	e.Spawn("third", func(p *Proc) {
+		if err := r.Use(p, 2); err != nil {
+			t.Errorf("third: %v", err)
+		}
+		thirdDone = p.Now()
+	})
+	e.Spawn("killer", func(p *Proc) {
+		p.Hold(1)
+		if !victim.Interrupt(errors.New("die")) {
+			t.Error("interrupt of a queued Use not delivered")
+		}
+	})
+	e.RunAll()
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("victim error = %v, want ErrInterrupted", err)
+	}
+	if victimDone != 1 {
+		t.Fatalf("victim returned at %v, want 1 (no service)", victimDone)
+	}
+	if thirdDone != 12 {
+		t.Fatalf("third finished at %v, want 12", thirdDone)
+	}
+	if n, busy := r.Completions(), r.BusyTime(12); n != 2 || busy != 12 {
+		t.Fatalf("completions = %d, busy time = %v; want 2 and 12 (holder and third only)", n, busy)
+	}
+	if pop := r.MeanPopulation(12); !almost(pop, (10+1+12)/12.0, 1e-12) {
+		t.Fatalf("mean population = %v, want %v", pop, (10+1+12)/12.0)
+	}
+}
+
 func TestInterruptCarriesCause(t *testing.T) {
 	e := NewEnv()
 	q := NewQueue[int](e, "q")
