@@ -2,6 +2,11 @@
 # dependencies.
 
 GO ?= go
+# Recipes run under bash with pipefail, so a failing command on the left of
+# a pipe (`go test ... | tee` in bench) fails the target instead of taking
+# the exit status of the command on the right.
+SHELL := bash
+.SHELLFLAGS := -eo pipefail -c
 BENCH_FILE := BENCH_$(shell date +%F).json
 # The committed benchmark baseline the regression gate diffs against.
 BASELINE ?= BENCH_2026-08-08.json

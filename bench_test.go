@@ -36,12 +36,12 @@ func benchOpts() experiment.SimOptions {
 
 // meanModelError returns the mean signed relative error (percent) of
 // model vs simulation for a metric over nodes and sweep points.
-func meanModelError(comps []*experiment.Comparison, metric experiment.Metric) float64 {
+func meanModelError(rcs []*experiment.RepComparison, metric experiment.Metric) float64 {
 	var sum float64
 	var n int
-	for _, c := range comps {
+	for _, rc := range rcs {
 		for node := 0; node < 2; node++ {
-			mo, me := metric.Get(c, node)
+			mo, me := metric.Get(rc.First(), node)
 			if me > 0 {
 				sum += (mo - me) / me * 100
 				n++
@@ -56,11 +56,11 @@ func meanModelError(comps []*experiment.Comparison, metric experiment.Metric) fl
 
 // kneeDrop returns metric(n=20)/metric(n=8) on the simulation side at a
 // node, quantifying the deadlock-induced throughput decline.
-func kneeDrop(comps []*experiment.Comparison, metric experiment.Metric, node int) float64 {
+func kneeDrop(rcs []*experiment.RepComparison, metric experiment.Metric, node int) float64 {
 	var at8, at20 float64
-	for _, c := range comps {
-		_, me := metric.Get(c, node)
-		switch c.N {
+	for _, rc := range rcs {
+		_, me := metric.Get(rc.First(), node)
+		switch rc.N {
 		case 8:
 			at8 = me
 		case 20:
@@ -76,16 +76,16 @@ func kneeDrop(comps []*experiment.Comparison, metric experiment.Metric, node int
 // benchFigure runs one LB8/MB4 figure regeneration per iteration.
 func benchFigure(b *testing.B, mk func(int) workload.Workload, metric experiment.Metric, node int) {
 	b.Helper()
-	var comps []*experiment.Comparison
+	var rcs []*experiment.RepComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		comps, err = experiment.Sweep(mk, experiment.PaperNs(), benchOpts())
+		rcs, err = experiment.SweepReplicated(mk, experiment.PaperNs(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(meanModelError(comps, metric), "model-over-sim-pct")
-	b.ReportMetric(kneeDrop(comps, metric, node), "knee-drop-ratio")
+	b.ReportMetric(meanModelError(rcs, metric), "model-over-sim-pct")
+	b.ReportMetric(kneeDrop(rcs, metric, node), "knee-drop-ratio")
 }
 
 // BenchmarkFigure5LB8RecordThroughput regenerates Figure 5: LB8 record
@@ -126,40 +126,40 @@ func BenchmarkFigure10MB4DiskIORate(b *testing.B) {
 // BenchmarkTable3MB8 regenerates Table 3: the MB8 model-vs-measurement
 // comparison of TR-XPUT, Total-CPU and Total-DIO per node.
 func BenchmarkTable3MB8(b *testing.B) {
-	var comps []*experiment.Comparison
+	var rcs []*experiment.RepComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		comps, err = experiment.Sweep(workload.MB8, experiment.PaperNs(), benchOpts())
+		rcs, err = experiment.SweepReplicated(workload.MB8, experiment.PaperNs(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(meanModelError(comps, experiment.TxnThroughput), "model-over-sim-pct")
-	b.ReportMetric(kneeDrop(comps, experiment.TxnThroughput, 0), "knee-drop-ratio")
+	b.ReportMetric(meanModelError(rcs, experiment.TxnThroughput), "model-over-sim-pct")
+	b.ReportMetric(kneeDrop(rcs, experiment.TxnThroughput, 0), "knee-drop-ratio")
 }
 
 // BenchmarkTable4UB6 regenerates Table 4: the UB6 comparison.
 func BenchmarkTable4UB6(b *testing.B) {
-	var comps []*experiment.Comparison
+	var rcs []*experiment.RepComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		comps, err = experiment.Sweep(workload.UB6, experiment.PaperNs(), benchOpts())
+		rcs, err = experiment.SweepReplicated(workload.UB6, experiment.PaperNs(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(meanModelError(comps, experiment.TxnThroughput), "model-over-sim-pct")
-	b.ReportMetric(kneeDrop(comps, experiment.TxnThroughput, 0), "knee-drop-ratio")
+	b.ReportMetric(meanModelError(rcs, experiment.TxnThroughput), "model-over-sim-pct")
+	b.ReportMetric(kneeDrop(rcs, experiment.TxnThroughput, 0), "knee-drop-ratio")
 }
 
 // BenchmarkTable5MB4PerType regenerates Table 5: MB4 per-transaction-type
 // throughputs at each node, reporting the mean per-type model error.
 func BenchmarkTable5MB4PerType(b *testing.B) {
 	var tbl *experiment.Table
-	var comps []*experiment.Comparison
+	var rcs []*experiment.RepComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		comps, err = experiment.Sweep(workload.MB4, experiment.PaperNs(), benchOpts())
+		rcs, err = experiment.SweepReplicated(workload.MB4, experiment.PaperNs(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkTable5MB4PerType(b *testing.B) {
 		}
 	}
 	_ = tbl
-	b.ReportMetric(meanModelError(comps, experiment.TxnThroughput), "model-over-sim-pct")
+	b.ReportMetric(meanModelError(rcs, experiment.TxnThroughput), "model-over-sim-pct")
 }
 
 // BenchmarkModelSolveMB8 isolates the analytical solver (no simulation):

@@ -1200,12 +1200,13 @@ type SimOptions struct {
 	// report across-replication means with 95% confidence half-widths, and
 	// SimulateReplicated aggregates full measurements.
 	Replications int
-	// Workers bounds how many simulations run concurrently in replicated
-	// mode (0 means GOMAXPROCS). The results are bit-identical for any
-	// worker count.
+	// Workers bounds how many simulations run concurrently in any
+	// multi-run experiment — figures, tables, replications and every sweep
+	// (0 means GOMAXPROCS). The results are bit-identical for any worker
+	// count.
 	Workers int
 	// Progress, when non-nil, receives (completed, total) run counts as a
-	// replicated experiment advances. Calls are serialized.
+	// multi-run experiment advances. Calls are serialized.
 	Progress func(done, total int)
 }
 

@@ -27,7 +27,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 		minutes = flag.Float64("minutes", 60, "simulated measurement minutes per data point")
 		reps    = flag.Int("reps", 1, "independent replications per data point; >1 adds ±95% CI columns")
-		workers = flag.Int("workers", 0, "parallel simulation workers for -reps (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "parallel simulation workers for sweeps and -reps (0 = GOMAXPROCS)")
 		format  = flag.String("format", "text", "output format: text or markdown")
 	)
 	flag.Parse()

@@ -170,7 +170,7 @@ func main() {
 		placemt = flag.String("placement", "locality", "scale mode: placement strategy: hash, range or locality")
 		localty = flag.String("locality", "0.9,0.5,0.1", "scale mode: comma-separated home-shard affinity fractions in [0,1]")
 		reps    = flag.Int("reps", 1, "independent replications per point; >1 reports mean ±95% CI")
-		workers = flag.Int("workers", 0, "parallel simulation workers for -reps (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "parallel simulation workers for sweeps and -reps (0 = GOMAXPROCS)")
 		faults  = flag.String("faults", "", "fault plan, e.g. 'crash=1@60000+10000,lockto=5000' (see doc comment)")
 		partStr = flag.String("partition", "", "network partitions, e.g. '0,1|2,3@60000+20000;mtbf=120000' (see doc comment)")
 		grayStr = flag.String("graysites", "", "gray failures, e.g. '1@60000+30000*3/2' (see doc comment)")

@@ -2,9 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"carat/internal/storage"
 	"carat/internal/testbed"
@@ -90,10 +87,12 @@ func ccSweepWorkload(prot testbed.CCProtocol, pat storage.Pattern, m int) worklo
 // CCSweep runs the concurrency-control comparison lab: every protocol in
 // protocols crossed with every contention level and every MPL multiplier
 // (the MB4 mix replicated m times per site), measuring throughput, abort
-// rate and the paradigm-specific abort/probe counters. The grid fans out
-// across a worker pool with a fixed seed RepSeed(opts.Seed, cell, 0) and a
-// fixed result slot per cell, so the output is bit-identical for any
-// worker count. Replications are not used: one deterministic run per cell.
+// rate and the paradigm-specific abort/probe counters. The grid runs on
+// the sweep engine with a fixed result slot per cell, so the output is
+// bit-identical for any worker count. Every cell runs on opts.Seed itself:
+// the cells share one seed (common random numbers), so differences between
+// cells come from the configuration, not from the random stream.
+// Replications are not used: one deterministic run per cell.
 func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []int, opts SimOptions) (*CCSweepResult, error) {
 	if len(protocols) == 0 || len(contentions) == 0 || len(mpls) == 0 {
 		return nil, fmt.Errorf("experiment: cc sweep needs protocols, contentions and MPLs")
@@ -112,61 +111,14 @@ func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []
 		}
 	}
 
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	results := make([]testbed.Results, len(cells))
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		failed   atomic.Bool
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if failed.Load() {
-					continue
-				}
-				cl := cells[idx]
-				wl := ccSweepWorkload(cl.prot, cl.cont.Pattern, cl.m)
-				cfg := wl.TestbedConfig(RepSeed(opts.Seed, idx, 0), opts.Warmup, opts.Duration)
-				sys, err := testbed.New(cfg)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: %v/%s/x%d: %w", cl.prot, cl.cont.Name, cl.m, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				results[idx] = sys.Run()
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(cells))
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for idx := range cells {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results, err := runGrid(len(cells), opts, func(i int) (testbed.Config, string) {
+		cl := cells[i]
+		wl := ccSweepWorkload(cl.prot, cl.cont.Pattern, cl.m)
+		return wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration),
+			fmt.Sprintf("%v/%s/x%d", cl.prot, cl.cont.Name, cl.m)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &CCSweepResult{Protocols: protocols, MPLs: mpls}
@@ -185,7 +137,7 @@ func ccSweepPoint(prot testbed.CCProtocol, cont string, m int, res testbed.Resul
 	var subs, commits int64
 	var respWeighted float64
 	for _, nr := range res.Nodes {
-		for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
+		for _, k := range txnKinds {
 			subs += nr.Submissions[k]
 			commits += nr.Commits[k]
 			respWeighted += nr.MeanResponse[k] * float64(nr.Commits[k])

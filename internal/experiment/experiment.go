@@ -32,13 +32,13 @@ type SimOptions struct {
 	// table builders report across-replication means with 95% Student-t
 	// confidence half-widths next to the model values.
 	Replications int
-	// Workers bounds the number of concurrent simulations in replicated
-	// runs (0 means GOMAXPROCS). Results are independent of Workers: every
-	// (point, replication) pair has a fixed seed and a fixed output slot.
+	// Workers bounds the number of concurrent simulations in every sweep
+	// (0 means GOMAXPROCS). Results are independent of Workers: every grid
+	// cell has a fixed seed and a fixed output slot.
 	Workers int
-	// Progress, when non-nil, is called after each completed replication
-	// run with the completed and total run counts. Calls are serialized but
-	// may come from worker goroutines.
+	// Progress, when non-nil, is called after each completed simulation
+	// run of a sweep with the completed and total run counts. Calls are
+	// serialized, on the goroutine that called the sweep.
 	Progress func(done, total int)
 }
 
@@ -121,22 +121,10 @@ var TxnThroughput = Metric{
 	},
 }
 
-// Sweep runs a workload constructor over the transaction sizes, producing
-// one comparison per point. The paper sweeps n over {4, 8, 12, 16, 20}.
-// Every point runs serially with opts.Seed (the historical single-run
-// behavior, pinned by golden tests); for independent replications with
-// derived per-replication seeds and parallel execution, use SweepReplicated.
-func Sweep(mk func(n int) workload.Workload, ns []int, opts SimOptions) ([]*Comparison, error) {
-	out := make([]*Comparison, 0, len(ns))
-	for _, n := range ns {
-		c, err := Run(mk(n), opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: n=%d: %w", n, err)
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
+// txnKinds lists the four transaction kinds in a fixed order. Sums over a
+// run's per-kind maps iterate it instead of the map, so floating-point
+// totals do not depend on map iteration order.
+var txnKinds = []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU}
 
 // PaperNs is the transaction-size sweep used throughout the evaluation.
 func PaperNs() []int { return []int{4, 8, 12, 16, 20} }
@@ -160,7 +148,7 @@ func modelPerType(c *Comparison, node int) map[string]float64 {
 // (txn/s) at a node.
 func measuredPerType(c *Comparison, node int) map[string]float64 {
 	out := map[string]float64{}
-	for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
+	for _, k := range txnKinds {
 		out[k.String()] = c.Measured.Nodes[node].TxnThroughput[k]
 	}
 	return out

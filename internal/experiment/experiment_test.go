@@ -12,6 +12,16 @@ func quickOpts() SimOptions {
 	return SimOptions{Seed: 1, Warmup: 30_000, Duration: 600_000}
 }
 
+// firstRuns returns each sweep point's replication-0 run: the single-run
+// view a one-replication sweep produces.
+func firstRuns(rcs []*RepComparison) []*Comparison {
+	comps := make([]*Comparison, len(rcs))
+	for i, rc := range rcs {
+		comps[i] = rc.First()
+	}
+	return comps
+}
+
 func TestRunProducesBothSides(t *testing.T) {
 	c, err := Run(workload.MB4(8), quickOpts())
 	if err != nil {
@@ -39,10 +49,11 @@ func TestModelTracksSimulation(t *testing.T) {
 		t.Skip("long validation sweep")
 	}
 	opts := SimOptions{Seed: 1, Warmup: 60_000, Duration: 1_860_000}
-	comps, err := Sweep(workload.MB8, []int{4, 12, 20}, opts)
+	rcs, err := SweepReplicated(workload.MB8, []int{4, 12, 20}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	comps := firstRuns(rcs)
 	for _, c := range comps {
 		for node := 0; node < 2; node++ {
 			mo, me := TxnThroughput.Get(c, node)
@@ -159,7 +170,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 		wl.Users = nil
 		return wl
 	}
-	if _, err := Sweep(bad, []int{4}, quickOpts()); err == nil {
+	if _, err := SweepReplicated(bad, []int{4}, quickOpts()); err == nil {
 		t.Fatal("expected error from invalid workload")
 	}
 }

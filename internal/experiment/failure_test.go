@@ -81,7 +81,9 @@ func TestFailureSweepDeterministic(t *testing.T) {
 // under-concurrency guarantee to faulted workloads: a replicated sweep with
 // a FaultPlan attached must be bit-identical on 1 and 4 workers. This also
 // exercises the per-run plan copy — workers validating a shared plan
-// concurrently would race (and be caught by -race in CI).
+// concurrently would race (and be caught by -race in CI). FailureSweep's
+// points, which share one workload and copies of one plan, must be
+// bit-identical on 1 and 4 workers as well.
 func TestFaultSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []*RepComparison {
 		rcs, err := SweepReplicated(faultyMB4, []int{4, 8}, repOpts(3, workers))
@@ -96,5 +98,21 @@ func TestFaultSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(one[i].Reps, four[i].Reps) {
 			t.Fatalf("n=%d: faulted results differ between 1 and 4 workers", one[i].N)
 		}
+	}
+
+	plan := testbed.FaultPlan{
+		Crashes:           []testbed.SiteCrash{{Site: 1, AtMS: 40_000, DownForMS: 10_000}},
+		CrashMTTRMS:       2_000,
+		LockWaitTimeoutMS: 8_000,
+	}
+	sweep := func(workers int) []FailurePoint {
+		pts, err := FailureSweep(workload.MB4(8), []float64{0, 30_000, 20_000}, plan, repOpts(1, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	if !reflect.DeepEqual(sweep(1), sweep(4)) {
+		t.Fatal("failure sweep differs between 1 and 4 workers")
 	}
 }

@@ -60,13 +60,18 @@ func partitionHalves(n int) [][]testbed.NodeID {
 // 0 runs the partition-free baseline for its factor (plan.Partitions
 // cleared), against which GoodputFrac is computed. The base plan should
 // carry finite LockWaitTimeoutMS and PrepareTimeoutMS so minority-side
-// transactions abort instead of wedging for the whole split.
+// transactions abort instead of wedging for the whole split. The points run
+// on the sweep engine, all on opts.Seed.
 func PartitionSweep(wl workload.Workload, durations []float64, factors []int, plan testbed.FaultPlan, opts SimOptions) ([]PartitionPoint, error) {
 	onset := opts.Warmup + 0.25*(opts.Duration-opts.Warmup)
 	groups := partitionHalves(wl.NumNodes)
-	var out []PartitionPoint
+	type cell struct {
+		factor int
+		dur    float64
+		wl     workload.Workload
+	}
+	var cells []cell
 	for _, factor := range factors {
-		factorStart := len(out)
 		for _, dur := range durations {
 			wl := wl
 			p := plan
@@ -82,24 +87,35 @@ func PartitionSweep(wl workload.Workload, durations []float64, factors []int, pl
 			} else {
 				wl.Replication = repl.Policy{}
 			}
-			cfg := wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration)
-			sys, err := testbed.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: partition sweep R=%d dur=%v: %w", factor, dur, err)
-			}
-			out = append(out, partitionPoint(dur, factor, sys.Run()))
+			cells = append(cells, cell{factor: factor, dur: dur, wl: wl})
 		}
-		// GoodputFrac against this factor's zero-duration baseline.
+	}
+	results, err := runGrid(len(cells), opts, func(i int) (testbed.Config, string) {
+		cl := cells[i]
+		return cl.wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration),
+			fmt.Sprintf("partition sweep R=%d dur=%v", cl.factor, cl.dur)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PartitionPoint, len(cells))
+	for i, cl := range cells {
+		out[i] = partitionPoint(cl.dur, cl.factor, results[i])
+	}
+	// GoodputFrac against each factor's zero-duration baseline; cells are
+	// factor-major, one run per duration.
+	for start := 0; start < len(out); start += len(durations) {
+		group := out[start : start+len(durations)]
 		base := 0.0
-		for _, pt := range out[factorStart:] {
+		for _, pt := range group {
 			if pt.DurationMS == 0 {
 				base = pt.TxnPerSec
 			}
 		}
-		for i := factorStart; i < len(out); i++ {
-			out[i].GoodputFrac = 1
+		for i := range group {
+			group[i].GoodputFrac = 1
 			if base > 0 {
-				out[i].GoodputFrac = out[i].TxnPerSec / base
+				group[i].GoodputFrac = group[i].TxnPerSec / base
 			}
 		}
 	}
@@ -122,7 +138,8 @@ func partitionPoint(dur float64, factor int, res testbed.Results) PartitionPoint
 		pt.PartitionShed += n.PartitionShed
 		pt.SuspectEvents += n.SuspectEvents
 		pt.FailoverReads += n.FailoverReads
-		for k, c := range n.Commits {
+		for _, k := range txnKinds {
+			c := n.Commits[k]
 			commits += c
 			latencyWeighted += n.MeanResponse[k] * float64(c)
 		}

@@ -70,6 +70,8 @@ func TestPartitionSweepSmoke(t *testing.T) {
 // replicated sweep whose fault plan includes a scheduled partition must be
 // bit-identical on 1 and 4 workers. (This also exercises the shared-plan
 // validation fix: every replication's config holds the same *FaultPlan.)
+// PartitionSweep's points, whose schedules share one partition grouping,
+// must be bit-identical on 1 and 4 workers as well.
 func TestPartitionSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []*RepComparison {
 		rcs, err := SweepReplicated(partitionMB4, []int{4, 8}, repOpts(3, workers))
@@ -84,6 +86,18 @@ func TestPartitionSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(one[i].Reps, four[i].Reps) {
 			t.Fatalf("n=%d: partitioned results differ between 1 and 4 workers", one[i].N)
 		}
+	}
+
+	plan := testbed.FaultPlan{PrepareTimeoutMS: 4_000, LockWaitTimeoutMS: 8_000}
+	sweep := func(workers int) []PartitionPoint {
+		pts, err := PartitionSweep(workload.MB4(8), []float64{0, 20_000}, []int{1, 2}, plan, repOpts(1, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	if !reflect.DeepEqual(sweep(1), sweep(4)) {
+		t.Fatal("partition sweep differs between 1 and 4 workers")
 	}
 }
 

@@ -3,9 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"carat/internal/core"
 	"carat/internal/rng"
@@ -73,6 +70,12 @@ func (rc *RepComparison) Comparison(rep int) *Comparison {
 // Run would have produced with the base seed.
 func (rc *RepComparison) First() *Comparison { return rc.Comparison(0) }
 
+// tallyEstimate is the across-replication estimate a tally of one
+// observation per replication yields.
+func tallyEstimate(t stats.Tally) Estimate {
+	return Estimate{Mean: t.Mean(), HalfWidth: t.CI95(), Reps: int(t.N())}
+}
+
 // Estimate extracts one metric at one node from every replication and
 // returns the model's value alongside the across-replication estimate.
 func (rc *RepComparison) Estimate(metric Metric, node int) (model float64, est Estimate) {
@@ -82,12 +85,12 @@ func (rc *RepComparison) Estimate(metric Metric, node int) (model float64, est E
 		model = mo
 		t.Add(me)
 	}
-	return model, Estimate{Mean: t.Mean(), HalfWidth: t.CI95(), Reps: int(t.N())}
+	return model, tallyEstimate(t)
 }
 
 // RunReplicated is the replication-aware Run: it solves the model once and
-// runs opts.Replications independent simulations of the workload on a
-// worker pool, each with its own environment and derived seed.
+// runs opts.Replications independent simulations of the workload on the
+// sweep engine, each with its own environment and derived seed.
 func RunReplicated(wl workload.Workload, opts SimOptions) (*RepComparison, error) {
 	out, err := SweepReplicated(func(int) workload.Workload { return wl }, []int{wl.RequestsPerTxn}, opts)
 	if err != nil {
@@ -96,24 +99,18 @@ func RunReplicated(wl workload.Workload, opts SimOptions) (*RepComparison, error
 	return out[0], nil
 }
 
-// SweepReplicated is the replication-aware Sweep: it fans the sweep's
-// (point, replication) grid across a GOMAXPROCS-bounded worker pool. Each
-// job builds its own workload, testbed.System and sim.Env, so nothing
-// mutable is shared between concurrent simulations; each runs with the
-// seed RepSeed(opts.Seed, n, rep). Results land in fixed (point,
-// replication) slots, so the output is bit-identical for any worker count.
+// SweepReplicated runs a workload constructor over the transaction sizes
+// (the paper sweeps n over {4, 8, 12, 16, 20}) with opts.Replications
+// independent runs per point, producing one comparison per point. The
+// model side is solved once per point; the (point, replication) grid runs
+// on the sweep engine. Each job builds its own workload, testbed.System and
+// sim.Env, so nothing mutable is shared between concurrent simulations;
+// each runs with the seed RepSeed(opts.Seed, n, rep), so replication 0 of
+// every point is the historical single run with the base seed. Results land
+// in fixed (point, replication) slots, so the output is bit-identical for
+// any worker count.
 func SweepReplicated(mk func(n int) workload.Workload, ns []int, opts SimOptions) ([]*RepComparison, error) {
-	reps := opts.Replications
-	if reps < 1 {
-		reps = 1
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := len(ns) * reps; workers > total {
-		workers = total
-	}
+	reps := max(opts.Replications, 1)
 
 	// The model side is deterministic: solve each point once, serially.
 	out := make([]*RepComparison, len(ns))
@@ -132,7 +129,6 @@ func SweepReplicated(mk func(n int) workload.Workload, ns []int, opts SimOptions
 			N:        wl.RequestsPerTxn,
 			Model:    res,
 			Seeds:    make([]uint64, reps),
-			Reps:     make([]testbed.Results, reps),
 		}
 		for r := 0; r < reps; r++ {
 			rc.Seeds[r] = RepSeed(opts.Seed, n, r)
@@ -140,58 +136,18 @@ func SweepReplicated(mk func(n int) workload.Workload, ns []int, opts SimOptions
 		out[i] = rc
 	}
 
-	type job struct{ point, rep int }
-	jobs := make(chan job)
-	total := len(ns) * reps
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		failed   atomic.Bool
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed.Load() {
-					continue
-				}
-				rc := out[j.point]
-				// A fresh workload per job: constructors build their own
-				// parameter maps, so concurrent simulations share nothing.
-				wl := mk(rc.N)
-				cfg := wl.TestbedConfig(rc.Seeds[j.rep], opts.Warmup, opts.Duration)
-				sys, err := testbed.New(cfg)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: n=%d rep %d: %w", rc.N, j.rep, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				rc.Reps[j.rep] = sys.Run()
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, total)
-				}
-				mu.Unlock()
-			}
-		}()
+	results, err := runGrid(len(ns)*reps, opts, func(i int) (testbed.Config, string) {
+		rc, rep := out[i/reps], i%reps
+		// A fresh workload per job: constructors build their own
+		// parameter maps, so concurrent simulations share nothing.
+		return mk(rc.N).TestbedConfig(rc.Seeds[rep], opts.Warmup, opts.Duration),
+			fmt.Sprintf("n=%d rep %d", rc.N, rep)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for point := range out {
-		for rep := 0; rep < reps; rep++ {
-			jobs <- job{point: point, rep: rep}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, rc := range out {
+		rc.Reps = results[i*reps : (i+1)*reps : (i+1)*reps]
 	}
 	return out, nil
 }

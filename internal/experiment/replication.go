@@ -48,11 +48,17 @@ type ReplicationPoint struct {
 // (read policy irrelevant, reported as "one") and are emitted once per
 // factor regardless of how many read modes are requested, so the baseline
 // appears exactly once. A nil or empty reads slice defaults to read-one.
+// The points run on the sweep engine, all on opts.Seed.
 func ReplicationSweep(wl workload.Workload, factors []int, reads []repl.ReadMode, plan testbed.FaultPlan, opts SimOptions) ([]ReplicationPoint, error) {
 	if len(reads) == 0 {
 		reads = []repl.ReadMode{repl.ReadOne}
 	}
-	var out []ReplicationPoint
+	type cell struct {
+		factor int
+		mode   repl.ReadMode
+		wl     workload.Workload
+	}
+	var cells []cell
 	for _, factor := range factors {
 		modes := reads
 		if factor <= 1 {
@@ -67,14 +73,20 @@ func ReplicationSweep(wl workload.Workload, factors []int, reads []repl.ReadMode
 			} else {
 				wl.Replication = repl.Policy{}
 			}
-			cfg := wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration)
-			sys, err := testbed.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: replication sweep R=%d read=%v: %w", factor, mode, err)
-			}
-			res := sys.Run()
-			out = append(out, replicationPoint(factor, mode, res))
+			cells = append(cells, cell{factor: factor, mode: mode, wl: wl})
 		}
+	}
+	results, err := runGrid(len(cells), opts, func(i int) (testbed.Config, string) {
+		cl := cells[i]
+		return cl.wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration),
+			fmt.Sprintf("replication sweep R=%d read=%v", cl.factor, cl.mode)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ReplicationPoint, len(cells))
+	for i, cl := range cells {
+		out[i] = replicationPoint(cl.factor, cl.mode, results[i])
 	}
 	return out, nil
 }
@@ -90,7 +102,8 @@ func replicationPoint(factor int, mode repl.ReadMode, res testbed.Results) Repli
 		pt.ReplicaApplies += n.ReplicaApplies
 		pt.QuorumReads += n.QuorumReads
 		degraded += n.DegradedCommits
-		for k, c := range n.Commits {
+		for _, k := range txnKinds {
+			c := n.Commits[k]
 			commits += c
 			latencyWeighted += n.MeanResponse[k] * float64(c)
 		}

@@ -152,7 +152,8 @@ func TestReplicationSweepFactorThree(t *testing.T) {
 // TestReplicatedSweepDeterministicAcrossWorkerCounts extends the
 // determinism-under-concurrency guarantee to replicated-granule workloads: a
 // parallel sweep with an R=2 quorum policy attached must be bit-identical on
-// 1 and 4 workers.
+// 1 and 4 workers. So must ReplicationSweep's points, which share one
+// workload and copies of one fault plan.
 func TestReplicatedSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []*RepComparison {
 		rcs, err := SweepReplicated(replicatedMB4, []int{4, 8}, repOpts(3, workers))
@@ -167,6 +168,21 @@ func TestReplicatedSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(one[i].Reps, four[i].Reps) {
 			t.Fatalf("n=%d: replicated results differ between 1 and 4 workers", one[i].N)
 		}
+	}
+
+	plan := testbed.FaultPlan{
+		Crashes: []testbed.SiteCrash{{Site: 1, AtMS: 40_000, DownForMS: 30_000}},
+	}
+	reads := []repl.ReadMode{repl.ReadOne, repl.ReadQuorum}
+	sweep := func(workers int) []ReplicationPoint {
+		pts, err := ReplicationSweep(workload.MB4(8), []int{1, 2}, reads, plan, repOpts(1, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	if !reflect.DeepEqual(sweep(1), sweep(4)) {
+		t.Fatal("replication sweep differs between 1 and 4 workers")
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"carat/internal/stats"
@@ -69,79 +70,68 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// comparisonTable builds the Table 3/4 layout: per (n, node) rows of
-// measured and modeled TR-XPUT, Total-CPU and Total-DIO. With
-// opts.Replications > 1 the measured columns are across-replication means
-// and each gains a 95% confidence half-width column.
-func comparisonTable(id, title string, mk func(int) workload.Workload, ns []int, opts SimOptions) (*Table, error) {
-	if opts.Replications > 1 {
-		return comparisonTableReplicated(id, title, mk, ns, opts)
+// replicatedTitle marks a table built over more than one replication; a
+// single-run table keeps its plain title.
+func replicatedTitle(title string, reps int) string {
+	if reps > 1 {
+		return fmt.Sprintf("%s — %d replications, 95%% CI", title, reps)
 	}
-	comps, err := Sweep(mk, ns, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    id,
-		Title: title,
-		Header: []string{
-			"n", "Node",
-			"Sim TR-XPUT", "Sim Total-CPU", "Sim Total-DIO",
-			"Model TR-XPUT", "Model Total-CPU", "Model Total-DIO",
-		},
-	}
-	for _, c := range comps {
-		for node := 0; node < 2; node++ {
-			xm, xs := TxnThroughput.Get(c, node)
-			cm, cs := CPUUtilization.Get(c, node)
-			dm, ds := DiskIORate.Get(c, node)
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", c.N),
-				string(rune('A' + node)),
-				fmt.Sprintf("%.2f", xs),
-				fmt.Sprintf("%.2f", cs),
-				fmt.Sprintf("%.1f", ds),
-				fmt.Sprintf("%.2f", xm),
-				fmt.Sprintf("%.2f", cm),
-				fmt.Sprintf("%.1f", dm),
-			})
-		}
-	}
-	return t, nil
+	return title
 }
 
-// comparisonTableReplicated is the replicated Table 3/4 layout: the sweep
-// runs on the parallel engine and every simulated column is reported as
-// mean plus a ± column (95% Student-t half-width over the replications).
-func comparisonTableReplicated(id, title string, mk func(int) workload.Workload, ns []int, opts SimOptions) (*Table, error) {
+// simHeader lists the simulated column labels, each followed by a ± column
+// when the table is replicated.
+func simHeader(reps int, labels ...string) []string {
+	var out []string
+	for _, l := range labels {
+		out = append(out, l)
+		if reps > 1 {
+			out = append(out, "±")
+		}
+	}
+	return out
+}
+
+// simCells formats one simulated estimate: its mean, followed by its 95%
+// confidence half-width when more than one replication ran.
+func simCells(e Estimate, meanFmt, ciFmt string) []string {
+	if e.Reps > 1 {
+		return []string{fmt.Sprintf(meanFmt, e.Mean), fmt.Sprintf(ciFmt, e.HalfWidth)}
+	}
+	return []string{fmt.Sprintf(meanFmt, e.Mean)}
+}
+
+// comparisonTable builds the Table 3/4 layout: per (n, node) rows of
+// measured and modeled TR-XPUT, Total-CPU and Total-DIO. With more than one
+// replication the measured columns are across-replication means and each
+// gains a 95% confidence half-width column.
+func comparisonTable(id, title string, mk func(int) workload.Workload, ns []int, opts SimOptions) (*Table, error) {
 	rcs, err := SweepReplicated(mk, ns, opts)
 	if err != nil {
 		return nil, err
 	}
+	reps := max(opts.Replications, 1)
 	t := &Table{
 		ID:    id,
-		Title: fmt.Sprintf("%s — %d replications, 95%% CI", title, len(rcs[0].Reps)),
-		Header: []string{
-			"n", "Node",
-			"Sim TR-XPUT", "±", "Sim Total-CPU", "±", "Sim Total-DIO", "±",
-			"Model TR-XPUT", "Model Total-CPU", "Model Total-DIO",
-		},
+		Title: replicatedTitle(title, reps),
+		Header: slices.Concat(
+			[]string{"n", "Node"},
+			simHeader(reps, "Sim TR-XPUT", "Sim Total-CPU", "Sim Total-DIO"),
+			[]string{"Model TR-XPUT", "Model Total-CPU", "Model Total-DIO"},
+		),
 	}
 	for _, rc := range rcs {
 		for node := 0; node < 2; node++ {
 			xm, xe := rc.Estimate(TxnThroughput, node)
 			cm, ce := rc.Estimate(CPUUtilization, node)
 			dm, de := rc.Estimate(DiskIORate, node)
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", rc.N),
-				string(rune('A' + node)),
-				fmt.Sprintf("%.2f", xe.Mean), fmt.Sprintf("%.2f", xe.HalfWidth),
-				fmt.Sprintf("%.2f", ce.Mean), fmt.Sprintf("%.3f", ce.HalfWidth),
-				fmt.Sprintf("%.1f", de.Mean), fmt.Sprintf("%.1f", de.HalfWidth),
-				fmt.Sprintf("%.2f", xm),
-				fmt.Sprintf("%.2f", cm),
-				fmt.Sprintf("%.1f", dm),
-			})
+			t.Rows = append(t.Rows, slices.Concat(
+				[]string{fmt.Sprintf("%d", rc.N), string(rune('A' + node))},
+				simCells(xe, "%.2f", "%.2f"),
+				simCells(ce, "%.2f", "%.3f"),
+				simCells(de, "%.1f", "%.1f"),
+				[]string{fmt.Sprintf("%.2f", xm), fmt.Sprintf("%.2f", cm), fmt.Sprintf("%.1f", dm)},
+			))
 		}
 	}
 	return t, nil
@@ -158,56 +148,22 @@ func Table4(ns []int, opts SimOptions) (*Table, error) {
 }
 
 // Table5 is "Model vs Measurement Throughput Results for Each TR Type
-// (MB4)": per-type commit throughput at each node. With
-// opts.Replications > 1 the simulated columns carry 95% CI half-widths.
+// (MB4)": per-type commit throughput at each node. With more than one
+// replication the simulated columns are means with 95% CI half-widths.
 func Table5(ns []int, opts SimOptions) (*Table, error) {
-	if opts.Replications > 1 {
-		return table5Replicated(ns, opts)
-	}
-	comps, err := Sweep(workload.MB4, ns, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "Table 5",
-		Title: "Model vs Measurement Throughput Results for Each TR Type (MB4)",
-		Header: []string{
-			"n", "Type",
-			"Sim Node A", "Sim Node B",
-			"Model Node A", "Model Node B",
-		},
-	}
-	for _, c := range comps {
-		for _, ty := range []string{"LRO", "LU", "DRO", "DU"} {
-			sa := measuredPerType(c, 0)[ty]
-			sb := measuredPerType(c, 1)[ty]
-			ma := modelPerType(c, 0)[ty]
-			mb := modelPerType(c, 1)[ty]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", c.N), ty,
-				fmt.Sprintf("%.2f", sa), fmt.Sprintf("%.2f", sb),
-				fmt.Sprintf("%.2f", ma), fmt.Sprintf("%.2f", mb),
-			})
-		}
-	}
-	return t, nil
-}
-
-// table5Replicated is the replicated Table 5: per-type throughput means
-// with ± columns over the replications.
-func table5Replicated(ns []int, opts SimOptions) (*Table, error) {
 	rcs, err := SweepReplicated(workload.MB4, ns, opts)
 	if err != nil {
 		return nil, err
 	}
+	reps := max(opts.Replications, 1)
 	t := &Table{
 		ID:    "Table 5",
-		Title: fmt.Sprintf("Model vs Measurement Throughput Results for Each TR Type (MB4) — %d replications, 95%% CI", len(rcs[0].Reps)),
-		Header: []string{
-			"n", "Type",
-			"Sim Node A", "±", "Sim Node B", "±",
-			"Model Node A", "Model Node B",
-		},
+		Title: replicatedTitle("Model vs Measurement Throughput Results for Each TR Type (MB4)", reps),
+		Header: slices.Concat(
+			[]string{"n", "Type"},
+			simHeader(reps, "Sim Node A", "Sim Node B"),
+			[]string{"Model Node A", "Model Node B"},
+		),
 	}
 	for _, rc := range rcs {
 		for _, ty := range []string{"LRO", "LU", "DRO", "DU"} {
@@ -219,12 +175,12 @@ func table5Replicated(ns []int, opts SimOptions) (*Table, error) {
 			}
 			ma := modelPerType(rc.First(), 0)[ty]
 			mb := modelPerType(rc.First(), 1)[ty]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", rc.N), ty,
-				fmt.Sprintf("%.2f", ta.Mean()), fmt.Sprintf("%.2f", ta.CI95()),
-				fmt.Sprintf("%.2f", tb.Mean()), fmt.Sprintf("%.2f", tb.CI95()),
-				fmt.Sprintf("%.2f", ma), fmt.Sprintf("%.2f", mb),
-			})
+			t.Rows = append(t.Rows, slices.Concat(
+				[]string{fmt.Sprintf("%d", rc.N), ty},
+				simCells(tallyEstimate(ta), "%.2f", "%.2f"),
+				simCells(tallyEstimate(tb), "%.2f", "%.2f"),
+				[]string{fmt.Sprintf("%.2f", ma), fmt.Sprintf("%.2f", mb)},
+			))
 		}
 	}
 	return t, nil

@@ -32,10 +32,11 @@ func TestFullValidationSweep(t *testing.T) {
 	for name, mk := range mks {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			comps, err := Sweep(mk, PaperNs(), opts)
+			rcs, err := SweepReplicated(mk, PaperNs(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			comps := firstRuns(rcs)
 			for node := 0; node < 2; node++ {
 				var prevSim, prevMod float64 = math.Inf(1), math.Inf(1)
 				for _, c := range comps {
