@@ -11,7 +11,7 @@ BENCH_FILE := BENCH_$(shell date +%F).json
 # The committed benchmark baseline the regression gate diffs against.
 BASELINE ?= BENCH_2026-08-08.json
 
-.PHONY: all build test race vet bench benchdiff chaos
+.PHONY: all build test race vet bench benchdiff chaos perfbench-check
 
 all: build test
 
@@ -24,11 +24,17 @@ test:
 # The -race smoke list; the CI race job runs this target.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepDeterministicAcrossWorkerCounts|TestFaultSweepDeterministicAcrossWorkerCounts|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestProbeRetransmissionDeterministicAcrossWorkerCounts|TestReplicatedSweepDeterministicAcrossWorkerCounts|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionSweepDeterministicAcrossWorkerCounts|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection' \
+		-run 'TestParallelSweepSmoke|TestGridStopsAtFirstError|TestSweepDeterministicAcrossWorkerCounts|TestFaultSweepDeterministicAcrossWorkerCounts|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestProbeRetransmissionDeterministicAcrossWorkerCounts|TestReplicatedSweepDeterministicAcrossWorkerCounts|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionSweepDeterministicAcrossWorkerCounts|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection' \
 		./internal/experiment/ ./internal/testbed/
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# build, vet and test never compile it; this target does, catching an
+# internal API change that would break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Record a benchmark baseline for perf PRs to diff against: the whole -bench
 # suite with allocation stats as a JSON event stream in BENCH_<date>.json.

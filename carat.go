@@ -22,8 +22,6 @@ package carat
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"carat/internal/cc"
 	"carat/internal/core"
@@ -239,6 +237,16 @@ const (
 	QueCC             ConcurrencyControl = "quecc"
 )
 
+// ccNames gives each concurrency-control paradigm its facade name.
+var ccNames = [...]ConcurrencyControl{
+	cc.TwoPhaseDetect:    TwoPhaseLocking,
+	cc.TwoPhaseWaitDie:   WaitDie,
+	cc.TwoPhaseWoundWait: WoundWait,
+	cc.TimestampOrdering: TimestampOrdering,
+	cc.Optimistic:        OptimisticCC,
+	cc.QueueOrdered:      QueCC,
+}
+
 // ParseConcurrencyControl resolves a user-supplied protocol name —
 // case-insensitively, accepting the canonical names and common aliases
 // ("optimistic", "deterministic", "to", …). Unknown names return an error
@@ -249,39 +257,18 @@ func ParseConcurrencyControl(name string) (ConcurrencyControl, error) {
 	if err != nil {
 		return "", err
 	}
-	switch p {
-	case cc.TwoPhaseWaitDie:
-		return WaitDie, nil
-	case cc.TwoPhaseWoundWait:
-		return WoundWait, nil
-	case cc.TimestampOrdering:
-		return TimestampOrdering, nil
-	case cc.Optimistic:
-		return OptimisticCC, nil
-	case cc.QueueOrdered:
-		return QueCC, nil
-	default:
-		return TwoPhaseLocking, nil
-	}
+	return ccNames[p], nil
 }
 
 // protocol maps the facade name to the testbed's protocol enum.
 // Unrecognized values fall back to the paper's 2PL default.
 func (c ConcurrencyControl) protocol() testbed.CCProtocol {
-	switch c {
-	case WaitDie:
-		return testbed.CCWaitDie
-	case WoundWait:
-		return testbed.CCWoundWait
-	case TimestampOrdering:
-		return testbed.CCTimestamp
-	case OptimisticCC:
-		return testbed.CCOCC
-	case QueCC:
-		return testbed.CCQueCC
-	default:
-		return testbed.CC2PL
+	for p, name := range ccNames {
+		if name == c {
+			return testbed.CCProtocol(p)
+		}
 	}
+	return testbed.CC2PL
 }
 
 // WithConcurrencyControl selects the simulator's protocol. Unrecognized
@@ -509,233 +496,6 @@ func (w Workload) WithFaults(f FaultPlan) Workload {
 	return w
 }
 
-// ParseFaultPlan parses the comma-separated key=value fault syntax shared
-// by the command-line tools (caratsim -faults, carattrace -faults):
-//
-//	crash=SITE@AT+DOWN  crash site SITE at AT ms for DOWN ms (repeatable)
-//	mttf=MS             random crashes: mean time to failure per site
-//	mttr=MS             mean outage before restart recovery (default 5000)
-//	loss=P              per-message loss probability in [0,1)
-//	retrans=MS          retransmission delay per lost message (default 10)
-//	delayp=P            probability of extra delay on a hop
-//	delayms=MS          mean of the extra exponential delay (default 5)
-//	prepto=MS           2PC prepare timeout (presumed abort on expiry)
-//	lockto=MS           lock wait timeout
-//	backoff=MS          user retry backoff while a slave site is down
-//	probeloss=P         per-probe loss probability in [0,1] (no retransmit)
-//	probeout=MS         drop every inter-site probe before this instant
-//	fseed=N             fault RNG seed (default: a fixed stream)
-func ParseFaultPlan(s string) (FaultPlan, error) {
-	var f FaultPlan
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return f, fmt.Errorf("faults: %q is not key=value", part)
-		}
-		if key == "crash" {
-			rest, down, ok := strings.Cut(val, "+")
-			if !ok {
-				return f, fmt.Errorf("faults: crash wants SITE@AT+DOWN, got %q", val)
-			}
-			site, at, ok := strings.Cut(rest, "@")
-			if !ok {
-				return f, fmt.Errorf("faults: crash wants SITE@AT+DOWN, got %q", val)
-			}
-			sc := SiteCrash{}
-			var err error
-			if sc.Site, err = strconv.Atoi(site); err != nil {
-				return f, fmt.Errorf("faults: crash site %q: %w", site, err)
-			}
-			if sc.AtMS, err = strconv.ParseFloat(at, 64); err != nil {
-				return f, fmt.Errorf("faults: crash time %q: %w", at, err)
-			}
-			if sc.DownForMS, err = strconv.ParseFloat(down, 64); err != nil {
-				return f, fmt.Errorf("faults: crash duration %q: %w", down, err)
-			}
-			f.Crashes = append(f.Crashes, sc)
-			continue
-		}
-		if key == "fseed" {
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return f, fmt.Errorf("faults: fseed %q: %w", val, err)
-			}
-			f.Seed = n
-			continue
-		}
-		x, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return f, fmt.Errorf("faults: %s value %q: %w", key, val, err)
-		}
-		switch key {
-		case "mttf":
-			f.CrashMTTFMS = x
-		case "mttr":
-			f.CrashMTTRMS = x
-		case "loss":
-			f.MsgLossProb = x
-		case "retrans":
-			f.MsgRetransmitMS = x
-		case "delayp":
-			f.MsgExtraDelayProb = x
-		case "delayms":
-			f.MsgExtraDelayMS = x
-		case "prepto":
-			f.PrepareTimeoutMS = x
-		case "lockto":
-			f.LockWaitTimeoutMS = x
-		case "backoff":
-			f.RetryBackoffMS = x
-		case "probeloss":
-			f.ProbeLossProb = x
-		case "probeout":
-			f.ProbeLossUntilMS = x
-		default:
-			return f, fmt.Errorf("faults: unknown key %q", key)
-		}
-	}
-	return f, nil
-}
-
-// ParsePartitions parses the command-line network-partition syntax
-// (caratsim -partition) into the plan: semicolon-separated entries, each
-// either a scheduled split
-//
-//	GROUPS@AT+HEAL   e.g. 0,1|2,3@60000+20000
-//
-// — GROUPS is |-separated comma lists of sites; the split takes effect at
-// AT ms and heals HEAL ms later — or one of the key=value options
-//
-//	mtbf=MS     random partition process: mean time between partitions
-//	mean=MS     mean partition duration (default 10000)
-//	split=P     per-site probability of landing in the first group (0.5)
-//	hb=MS       failure-detector heartbeat interval (default 250)
-//	suspect=MS  suspicion timeout (default 1000)
-func ParsePartitions(s string, f *FaultPlan) error {
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if key, val, ok := strings.Cut(part, "="); ok && !strings.Contains(key, "@") {
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("partition: %s value %q: %w", key, val, err)
-			}
-			switch key {
-			case "mtbf":
-				f.PartitionMTBFMS = x
-			case "mean":
-				f.PartitionMeanMS = x
-			case "split":
-				f.PartitionSplitProb = x
-			case "hb":
-				f.HeartbeatIntervalMS = x
-			case "suspect":
-				f.SuspectAfterMS = x
-			default:
-				return fmt.Errorf("partition: unknown key %q", key)
-			}
-			continue
-		}
-		groupsPart, timing, ok := strings.Cut(part, "@")
-		if !ok {
-			return fmt.Errorf("partition: %q wants GROUPS@AT+HEAL", part)
-		}
-		at, heal, ok := strings.Cut(timing, "+")
-		if !ok {
-			return fmt.Errorf("partition: %q wants GROUPS@AT+HEAL", part)
-		}
-		var ps PartitionSchedule
-		var err error
-		if ps.AtMS, err = strconv.ParseFloat(at, 64); err != nil {
-			return fmt.Errorf("partition: time %q: %w", at, err)
-		}
-		if ps.HealAfterMS, err = strconv.ParseFloat(heal, 64); err != nil {
-			return fmt.Errorf("partition: heal %q: %w", heal, err)
-		}
-		for _, grp := range strings.Split(groupsPart, "|") {
-			var ids []int
-			for _, site := range strings.Split(grp, ",") {
-				site = strings.TrimSpace(site)
-				if site == "" {
-					continue
-				}
-				id, err := strconv.Atoi(site)
-				if err != nil {
-					return fmt.Errorf("partition: site %q: %w", site, err)
-				}
-				ids = append(ids, id)
-			}
-			if len(ids) > 0 {
-				ps.Groups = append(ps.Groups, ids)
-			}
-		}
-		if len(ps.Groups) == 0 {
-			return fmt.Errorf("partition: %q names no sites", part)
-		}
-		f.Partitions = append(f.Partitions, ps)
-	}
-	return nil
-}
-
-// ParseGraySites parses the command-line gray-failure syntax (caratsim
-// -graysites) into the plan: semicolon-separated windows
-//
-//	SITE@AT+FOR*FACTOR        e.g. 1@60000+30000*3
-//	SITE@AT+FOR*CPU/DISK      e.g. 1@60000+30000*3/2
-//
-// — site SITE runs with CPU (and disk) service times stretched by the
-// factor from AT ms for FOR ms. A single factor degrades both resources;
-// CPU/DISK sets them separately.
-func ParseGraySites(s string, f *FaultPlan) error {
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		sitePart, rest, ok := strings.Cut(part, "@")
-		if !ok {
-			return fmt.Errorf("graysites: %q wants SITE@AT+FOR*FACTOR", part)
-		}
-		timing, factors, ok := strings.Cut(rest, "*")
-		if !ok {
-			return fmt.Errorf("graysites: %q wants SITE@AT+FOR*FACTOR", part)
-		}
-		at, dur, ok := strings.Cut(timing, "+")
-		if !ok {
-			return fmt.Errorf("graysites: %q wants SITE@AT+FOR*FACTOR", part)
-		}
-		var g GrayFailure
-		var err error
-		if g.Site, err = strconv.Atoi(strings.TrimSpace(sitePart)); err != nil {
-			return fmt.Errorf("graysites: site %q: %w", sitePart, err)
-		}
-		if g.AtMS, err = strconv.ParseFloat(at, 64); err != nil {
-			return fmt.Errorf("graysites: time %q: %w", at, err)
-		}
-		if g.ForMS, err = strconv.ParseFloat(dur, 64); err != nil {
-			return fmt.Errorf("graysites: duration %q: %w", dur, err)
-		}
-		cpu, dsk, split := strings.Cut(factors, "/")
-		if g.CPUFactor, err = strconv.ParseFloat(cpu, 64); err != nil {
-			return fmt.Errorf("graysites: factor %q: %w", cpu, err)
-		}
-		g.DiskFactor = g.CPUFactor
-		if split {
-			if g.DiskFactor, err = strconv.ParseFloat(dsk, 64); err != nil {
-				return fmt.Errorf("graysites: disk factor %q: %w", dsk, err)
-			}
-		}
-		f.GraySites = append(f.GraySites, g)
-	}
-	return nil
-}
-
 // RetryPolicy bounds and paces transaction resubmission after aborts
 // (deadlock victims, crashed participants, timeouts). All times are
 // milliseconds; the zero value is the paper's behavior — retry
@@ -807,80 +567,6 @@ func (w Workload) WithResilience(r Resilience) Workload {
 	return w
 }
 
-// ParseResilience parses the comma-separated key=value resilience syntax
-// of the command-line tools (caratsim -resilience):
-//
-//	retries=N       submissions per transaction before abandoning (0 = unlimited)
-//	backoff=MS      base exponential backoff between resubmissions
-//	maxbackoff=MS   backoff cap (default 32× base)
-//	mult=X          backoff multiplier (default 2)
-//	jitter=F        symmetric backoff jitter fraction in [0,1]
-//	mpl=N           per-site admission cap (0 = no gate)
-//	abortrate=R     engage the gate only above R aborts/s (0 = always)
-//	window=MS       abort-rate measurement window (default 1000)
-//	shed=BOOL       reject excess arrivals instead of queueing them
-//	shedbackoff=MS  re-arrival delay for shed arrivals (default 100)
-//	probe=MS        re-initiate deadlock probes every MS while blocked
-func ParseResilience(s string) (Resilience, error) {
-	var r Resilience
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return r, fmt.Errorf("resilience: %q is not key=value", part)
-		}
-		switch key {
-		case "retries":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return r, fmt.Errorf("resilience: retries %q: %w", val, err)
-			}
-			r.Retry.MaxAttempts = n
-		case "mpl":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return r, fmt.Errorf("resilience: mpl %q: %w", val, err)
-			}
-			r.Admission.MaxMPL = n
-		case "shed":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return r, fmt.Errorf("resilience: shed %q: %w", val, err)
-			}
-			r.Admission.Shed = b
-		default:
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return r, fmt.Errorf("resilience: %s value %q: %w", key, val, err)
-			}
-			switch key {
-			case "backoff":
-				r.Retry.BaseBackoffMS = x
-			case "maxbackoff":
-				r.Retry.MaxBackoffMS = x
-			case "mult":
-				r.Retry.Multiplier = x
-			case "jitter":
-				r.Retry.JitterFrac = x
-			case "abortrate":
-				r.Admission.AbortRateThreshold = x
-			case "window":
-				r.Admission.WindowMS = x
-			case "shedbackoff":
-				r.Admission.ShedBackoffMS = x
-			case "probe":
-				r.ProbeRetryMS = x
-			default:
-				return r, fmt.Errorf("resilience: unknown key %q", key)
-			}
-		}
-	}
-	return r, nil
-}
-
 // ReplicationPolicy configures replicated granules in the simulator: every
 // granule keeps Factor copies on distinct sites (primary first), writes
 // take exclusive locks at the primary copy and propagate to all available
@@ -907,42 +593,6 @@ func (w Workload) WithReplication(r ReplicationPolicy) Workload {
 	}
 	w.w.Replication = repl.Policy{Factor: r.Factor, Read: mode}
 	return w
-}
-
-// ParseReplication parses the comma-separated key=value replication syntax
-// of the command-line tools (caratsim -repl):
-//
-//	R=N        replication factor (copies per granule; 1 = off)
-//	read=MODE  read policy: one (default) or quorum
-func ParseReplication(s string) (ReplicationPolicy, error) {
-	var r ReplicationPolicy
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return r, fmt.Errorf("repl: %q is not key=value", part)
-		}
-		switch key {
-		case "R", "r", "factor":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return r, fmt.Errorf("repl: factor %q: %w", val, err)
-			}
-			r.Factor = n
-		case "read":
-			mode, err := repl.ParseReadMode(val)
-			if err != nil {
-				return r, fmt.Errorf("repl: %w", err)
-			}
-			r.ReadQuorum = mode == repl.ReadQuorum
-		default:
-			return r, fmt.Errorf("repl: unknown key %q", key)
-		}
-	}
-	return r, nil
 }
 
 // AccessPattern selects how requests pick records at a site. The zero
@@ -1095,91 +745,6 @@ func (w Workload) WithOpenArrivals(o OpenArrivals) Workload {
 func (w Workload) WithoutClosedUsers() Workload {
 	w.w.Users = nil
 	return w
-}
-
-// ParseOpenClasses parses the command-line open-mix syntax (caratsim
-// -classes): classes separated by ';', each a comma-separated list of
-// key=value settings:
-//
-//	kind=TYPE      transaction type: LRO, LU, DRO or DU (required)
-//	weight=X       relative share of arrivals (default 1)
-//	n=N            requests per transaction (default: the workload's n)
-//	rf=F           remote fraction for distributed types (default: workload's)
-//	pattern=NAME   record access: uniform, hotspot or zipf (default: workload's)
-//	hot=F          hotspot: hot fraction of records (default 0.2)
-//	frac=F         hotspot: share of accesses aimed at the hot set (default 0.8)
-//	theta=F        zipf: skew exponent (default 0.99)
-//
-// Example: 'kind=LRO,weight=3;kind=DU,weight=1,n=4,rf=0.25,pattern=zipf'.
-func ParseOpenClasses(s string) ([]OpenClass, error) {
-	var out []OpenClass
-	for _, spec := range strings.Split(s, ";") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		c := OpenClass{}
-		pattern, hot, frac, theta := "", 0.2, 0.8, 0.99
-		for _, part := range strings.Split(spec, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			key, val, ok := strings.Cut(part, "=")
-			if !ok {
-				return nil, fmt.Errorf("classes: %q is not key=value", part)
-			}
-			switch key {
-			case "kind":
-				c.Type = TxnType(val)
-				if _, err := c.Type.kind(); err != nil {
-					return nil, fmt.Errorf("classes: %w", err)
-				}
-			case "n":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("classes: n %q: %w", val, err)
-				}
-				c.Requests = n
-			case "pattern":
-				pattern = val
-			default:
-				x, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("classes: %s value %q: %w", key, val, err)
-				}
-				switch key {
-				case "weight":
-					c.Weight = x
-				case "rf":
-					c.RemoteFrac = x
-				case "hot":
-					hot = x
-				case "frac":
-					frac = x
-				case "theta":
-					theta = x
-				default:
-					return nil, fmt.Errorf("classes: unknown key %q", key)
-				}
-			}
-		}
-		if c.Type == "" {
-			return nil, fmt.Errorf("classes: %q needs kind=TYPE", spec)
-		}
-		if pattern != "" {
-			p, err := PatternByName(pattern, hot, frac, theta)
-			if err != nil {
-				return nil, err
-			}
-			c.Pattern = &p
-		}
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("classes: empty class list")
-	}
-	return out, nil
 }
 
 // SimOptions controls a simulation run.
@@ -1918,19 +1483,19 @@ type ReplicatedMeasurement struct {
 // SimulateReplicated runs opts.Replications independent simulations of the
 // workload across opts.Workers parallel workers (each with its own
 // simulation environment and derived seed) and aggregates them into means
-// with 95% confidence half-widths. The output is bit-identical for any
-// worker count.
+// with 95% confidence half-widths. Like Simulate it solves no model, so it
+// takes open-only workloads and every concurrency-control protocol. The
+// output is bit-identical for any worker count.
 func SimulateReplicated(w Workload, opts SimOptions) (*ReplicatedMeasurement, error) {
-	e := opts.fill()
-	rc, err := experiment.RunReplicated(w.w, e)
+	seeds, reps, err := experiment.Replicate(w.w, opts.fill())
 	if err != nil {
 		return nil, err
 	}
 	rm := &ReplicatedMeasurement{
-		Replications: len(rc.Reps),
-		Seeds:        rc.Seeds,
+		Replications: len(reps),
+		Seeds:        seeds,
 	}
-	for _, res := range rc.Reps {
+	for _, res := range reps {
 		rm.Runs = append(rm.Runs, measurementFrom(res))
 	}
 	rm.WindowMS = rm.Runs[0].WindowMS

@@ -523,30 +523,6 @@ func TestWithThinkTimeDoesNotMutateReceiver(t *testing.T) {
 	}
 }
 
-func TestParseOpenClasses(t *testing.T) {
-	mix, err := ParseOpenClasses("kind=LRO,weight=3;kind=DU,weight=1,n=4,rf=0.25,pattern=zipf,theta=0.8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 2 {
-		t.Fatalf("classes = %d, want 2", len(mix))
-	}
-	if mix[0].Type != LocalReadOnly || mix[0].Weight != 3 || mix[0].Pattern != nil {
-		t.Fatalf("first class: %+v", mix[0])
-	}
-	if mix[1].Type != DistributedUpdate || mix[1].Requests != 4 || mix[1].RemoteFrac != 0.25 || mix[1].Pattern == nil {
-		t.Fatalf("second class: %+v", mix[1])
-	}
-	for _, bad := range []string{
-		"", "weight=2", "kind=XYZ", "kind=LU,weight", "kind=LU,n=x",
-		"kind=LU,bogus=1", "kind=LU,pattern=spiral",
-	} {
-		if _, err := ParseOpenClasses(bad); err == nil {
-			t.Errorf("ParseOpenClasses(%q) accepted", bad)
-		}
-	}
-}
-
 // TestOpenArrivalsSimulate smoke-tests open mode through the facade: the
 // Open* metrics populate, closed terminals can be removed, and an unknown
 // class type is reported when the simulation is built.

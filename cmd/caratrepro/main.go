@@ -15,32 +15,23 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"carat"
+	"carat/cmd/internal/cli"
+)
+
+var (
+	shared = cli.Register(cli.RunFlags)
+
+	only   = flag.String("only", "", "one artifact: fig5..fig10 or table1..table5 (default all)")
+	format = flag.String("format", "text", "output format: text or markdown")
 )
 
 func main() {
-	var (
-		only    = flag.String("only", "", "one artifact: fig5..fig10 or table1..table5 (default all)")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-		minutes = flag.Float64("minutes", 60, "simulated measurement minutes per data point")
-		reps    = flag.Int("reps", 1, "independent replications per data point; >1 adds ±95% CI columns")
-		workers = flag.Int("workers", 0, "parallel simulation workers for sweeps and -reps (0 = GOMAXPROCS)")
-		format  = flag.String("format", "text", "output format: text or markdown")
-	)
-	flag.Parse()
+	shared.Parse()
 	markdown := strings.EqualFold(*format, "markdown") || strings.EqualFold(*format, "md")
-
-	warmup := 120_000.0
-	opts := carat.SimOptions{
-		Seed:         *seed,
-		WarmupMS:     warmup,
-		DurationMS:   warmup + *minutes*60_000,
-		Replications: *reps,
-		Workers:      *workers,
-	}
+	opts := shared.SimOptions()
 
 	type artifact struct {
 		name string
@@ -89,23 +80,15 @@ func main() {
 		matched = true
 		// The artifact closures read the shared opts, so installing a
 		// per-artifact progress line here is seen by the run below.
-		name := a.name
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%s: %d/%d runs", name, done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
+		opts.Progress = cli.Progress(a.name, "runs")
 		out, err := a.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", a.name, err)
-			os.Exit(1)
+			cli.Check(fmt.Errorf("%s: %w", a.name, err))
 		}
 		fmt.Println(out)
 		fmt.Println(strings.Repeat("=", 78))
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown artifact %q (want fig5..fig10, figr, or table1..table5)\n", *only)
-		os.Exit(1)
+		cli.Check(fmt.Errorf("unknown artifact %q (want fig5..fig10, figr, or table1..table5)", *only))
 	}
 }

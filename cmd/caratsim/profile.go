@@ -7,35 +7,24 @@ import (
 	"runtime/pprof"
 )
 
-// stopProfiles finishes whatever profiles startProfiles began. It is
-// replaced by startProfiles and is safe to call more than once.
-var stopProfiles = func() {}
-
-// exit finishes the profiles, then exits with code: a run that ends in an
-// error still leaves readable profiles behind.
-func exit(code int) {
-	stopProfiles()
-	os.Exit(code)
-}
-
-// startProfiles starts a CPU profile written to cpuPath and arranges for
-// a heap profile to be written to memPath when stopProfiles runs. An empty
-// path skips that profile.
-func startProfiles(cpuPath, memPath string) error {
+// startProfiles starts a CPU profile written to cpuPath and returns the
+// function that finishes it and writes a heap profile to memPath. An empty
+// path skips that profile. Run the returned function on every way out, an
+// exit on error included, so a failed run still leaves readable profiles.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	var cpu *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return fmt.Errorf("cpuprofile: %w", err)
+			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		cpu = f
 	}
-	stopProfiles = func() {
-		stopProfiles = func() {}
+	return func() {
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			if err := cpu.Close(); err != nil {
@@ -47,8 +36,7 @@ func startProfiles(cpuPath, memPath string) error {
 				fmt.Fprintln(os.Stderr, "memprofile:", err)
 			}
 		}
-	}
-	return nil
+	}, nil
 }
 
 // writeHeapProfile writes the live-heap profile, as of a fresh GC, to path.

@@ -21,12 +21,12 @@
 // sender, Granule the destination site). Unknown strategies and site
 // counts outside [2, 512] are rejected with the valid values.
 //
-// With -txn only that transaction's events print. With -faults (same
-// syntax as caratsim; see carat.ParseFaultPlan) the stream also carries
-// the site-level crash, restart and timeout-abort events. With -partition
-// and -graysites (caratsim syntax; see carat.ParsePartitions and
-// carat.ParseGraySites) it carries the partition, partition-heal, suspect
-// and trust events of the failure-detector layer. With -open the
+// With -txn only that transaction's events print. The -faults,
+// -partition, -graysites and -resilience flags take caratsim's syntaxes
+// (see its package doc). With -faults the stream also carries the
+// site-level crash, restart and timeout-abort events; with -partition and
+// -graysites it carries the partition, partition-heal, suspect and trust
+// events of the failure-detector layer. With -open the
 // closed terminals are replaced by Poisson arrivals at -lambda system-wide
 // transactions per second, and each arrival prints an `arrival` event at
 // its home site (its Txn field is the negated arrival sequence number —
@@ -38,37 +38,24 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"carat"
+	"carat/cmd/internal/cli"
+)
+
+var (
+	shared = cli.Register(cli.BaseFlags | cli.ProtocolFlags | cli.OpenFlags)
+
+	seconds = flag.Float64("seconds", 30, "simulated seconds to trace")
+	seed    = flag.Uint64("seed", 1, "random seed")
+	txn     = flag.Int64("txn", 0, "print only this transaction id (0 = all)")
+	sites   = flag.Int("sites", 16, "scale mode: site count in [2,512]")
+	placemt = flag.String("placement", "", "scale mode: placement strategy: hash, range or locality")
+	localty = flag.Float64("locality", 0.9, "scale mode: home-shard affinity fraction in [0,1]")
 )
 
 func main() {
-	var (
-		name    = flag.String("workload", "MB4", "workload: LB8, MB4, MB8 or UB6")
-		n       = flag.Int("n", 8, "transaction size")
-		seconds = flag.Float64("seconds", 30, "simulated seconds to trace")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		txn     = flag.Int64("txn", 0, "print only this transaction id (0 = all)")
-		cc      = flag.String("cc", "2PL", "concurrency control: 2PL, wait-die, wound-wait, timestamp-ordering, occ or quecc")
-		dbsize  = flag.Int("dbsize", 0, "database blocks per site (0 = paper's 3000)")
-		faults  = flag.String("faults", "", "fault plan, e.g. 'crash=1@10000+5000,lockto=8000' (caratsim syntax)")
-		partStr = flag.String("partition", "", "network partitions, e.g. '0|1@10000+8000' (caratsim syntax)")
-		grayStr = flag.String("graysites", "", "gray failures, e.g. '1@10000+8000*3' (caratsim syntax)")
-		resil   = flag.String("resilience", "", "resilience policy, e.g. 'mpl=4,shed=1' (caratsim syntax)")
-		open    = flag.Bool("open", false, "replace closed terminals with open Poisson arrivals")
-		lambda  = flag.Float64("lambda", 1.0, "open mode: system-wide arrival rate, txn/s (scale mode: per-site)")
-		sites   = flag.Int("sites", 16, "scale mode: site count in [2,512]")
-		placemt = flag.String("placement", "", "scale mode: placement strategy: hash, range or locality")
-		localty = flag.Float64("locality", 0.9, "scale mode: home-shard affinity fraction in [0,1]")
-	)
-	flag.Parse()
-
-	ccMode, err := carat.ParseConcurrencyControl(*cc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	shared.Parse()
 	scaleMode := *placemt != ""
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -76,60 +63,22 @@ func main() {
 			scaleMode = true
 		}
 	})
-	var wl carat.Workload
+	var (
+		wl  carat.Workload
+		err error
+	)
 	if scaleMode {
 		strategy := carat.LocalityPlacement
 		if *placemt != "" {
-			if strategy, err = carat.ParsePlacement(*placemt); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			strategy, err = carat.ParsePlacement(*placemt)
+			cli.Check(err)
 		}
-		if wl, err = carat.NewScaleConfig(*sites, strategy, *localty, *lambda); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else if wl, err = carat.WorkloadByName(*name, *n); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		wl, err = carat.NewScaleConfig(*sites, strategy, *localty, shared.Lambda)
+		cli.Check(err)
+	} else {
+		wl = shared.Named(shared.N)
 	}
-	wl = wl.WithConcurrencyControl(ccMode)
-	if *dbsize > 0 {
-		wl = wl.WithDatabaseSize(*dbsize)
-	}
-	if *faults != "" || *partStr != "" || *grayStr != "" {
-		var fp carat.FaultPlan
-		if *faults != "" {
-			if fp, err = carat.ParseFaultPlan(*faults); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *partStr != "" {
-			if err := carat.ParsePartitions(*partStr, &fp); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *grayStr != "" {
-			if err := carat.ParseGraySites(*grayStr, &fp); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		wl = wl.WithFaults(fp)
-	}
-	if *resil != "" {
-		r, err := carat.ParseResilience(*resil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		wl = wl.WithResilience(r)
-	}
-	if *open {
-		wl = wl.WithOpenArrivals(carat.OpenArrivals{LambdaPerSec: *lambda}).WithoutClosedUsers()
-	}
+	wl = shared.Apply(wl)
 	opts := carat.SimOptions{Seed: *seed, WarmupMS: 1, DurationMS: *seconds * 1000}
 
 	count := 0
@@ -145,9 +94,6 @@ func main() {
 		fmt.Printf("%12.1f ms  txn=%-5d %-4s node=%d  %-20s%s\n",
 			ev.TimeMS, ev.Txn, ev.Type, ev.Node, ev.Event, g)
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Check(err)
 	fmt.Printf("-- %d events over %.0f simulated seconds\n", count, *seconds)
 }

@@ -1,6 +1,7 @@
 package carat
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,41 @@ func TestSimulateReplicatedFacade(t *testing.T) {
 	if rm.Runs[0].Nodes[0].TxnPerSec != single.Nodes[0].TxnPerSec {
 		t.Fatalf("replication 0 throughput %v != serial Simulate %v",
 			rm.Runs[0].Nodes[0].TxnPerSec, single.Nodes[0].TxnPerSec)
+	}
+}
+
+// TestSimulateReplicatedSimulationOnly runs replications of workloads the
+// analytical model cannot solve — an OCC run and an open-only run — and
+// checks that replication 0 is the plain Simulate run of each.
+func TestSimulateReplicatedSimulationOnly(t *testing.T) {
+	opts := SimOptions{Seed: 1, WarmupMS: 10_000, DurationMS: 130_000, Replications: 2, Workers: 2}
+	for _, tc := range []struct {
+		name string
+		w    Workload
+	}{
+		{"occ", WorkloadMB4(8).WithConcurrencyControl(OptimisticCC)},
+		{"open", WorkloadMB8(8).WithOpenArrivals(OpenArrivals{LambdaPerSec: 0.8}).WithoutClosedUsers()},
+	} {
+		name, w := tc.name, tc.w
+		rm, err := SimulateReplicated(w, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rm.Replications != 2 || len(rm.Runs) != 2 {
+			t.Fatalf("%s: %d replications, %d runs; want 2 of each", name, rm.Replications, len(rm.Runs))
+		}
+		single := opts
+		single.Replications = 0
+		meas, err := Simulate(w, single)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(rm.Runs[0], meas) {
+			t.Fatalf("%s: replication 0 differs from the plain Simulate run", name)
+		}
+		if rm.Nodes[0].TxnPerSec.Mean <= 0 {
+			t.Fatalf("%s: nonpositive mean throughput", name)
+		}
 	}
 }
 

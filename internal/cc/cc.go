@@ -31,8 +31,8 @@ type (
 )
 
 // Paradigm enumerates the supported concurrency-control paradigms. The
-// values deliberately match testbed.CCProtocol so configurations convert
-// by plain conversion.
+// testbed configures its protocol with this enum directly
+// (testbed.CCProtocol is an alias of it).
 type Paradigm int
 
 const (
@@ -56,8 +56,7 @@ const (
 	numParadigms
 )
 
-// String names the paradigm, matching the historical testbed names for
-// the first four.
+// String names the paradigm, as reports and sweep tables print it.
 func (p Paradigm) String() string {
 	switch p {
 	case TwoPhaseDetect:

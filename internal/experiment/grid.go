@@ -16,10 +16,13 @@ import (
 // messages. It runs on a worker goroutine, concurrently with other jobs,
 // so it must give each job its own mutable state. Job i's result lands in
 // slot i whichever worker ran it, so the output does not depend on the
-// worker count. No job starts after the first failure, which is returned
-// as "experiment: <name>: <err>". opts.Progress, when set, is called once
-// per completed run with the completed and total counts, on the calling
-// goroutine, so its calls are serialized without a lock held across them.
+// worker count. No job starts after the first failure. Jobs are claimed
+// in index order, so every job below a failing one has started by then;
+// the engine lets them finish and returns the lowest-index failure as
+// "experiment: <name>: <err>", the same error for any worker count.
+// opts.Progress, when set, is called once per completed run with the
+// completed and total counts, on the calling goroutine, so its calls are
+// serialized without a lock held across them.
 func runGrid(jobs int, opts SimOptions, cfg func(i int) (testbed.Config, string)) ([]testbed.Results, error) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -30,10 +33,11 @@ func runGrid(jobs int, opts SimOptions, cfg func(i int) (testbed.Config, string)
 	out := make([]testbed.Results, jobs)
 	finished := make(chan struct{})
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards next and firstErr
-		next     int
-		firstErr error
+		wg      sync.WaitGroup
+		mu      sync.Mutex // guards next, failed and failErr
+		next    int
+		failed  = jobs // lowest failing job index; jobs while none has failed
+		failErr error
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -41,7 +45,7 @@ func runGrid(jobs int, opts SimOptions, cfg func(i int) (testbed.Config, string)
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if firstErr != nil || next == jobs {
+				if failed < jobs || next == jobs {
 					mu.Unlock()
 					return
 				}
@@ -53,8 +57,8 @@ func runGrid(jobs int, opts SimOptions, cfg func(i int) (testbed.Config, string)
 				sys, err := testbed.New(c)
 				if err != nil {
 					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: %s: %w", name, err)
+					if i < failed {
+						failed, failErr = i, fmt.Errorf("experiment: %s: %w", name, err)
 					}
 					mu.Unlock()
 					return
@@ -76,8 +80,8 @@ func runGrid(jobs int, opts SimOptions, cfg func(i int) (testbed.Config, string)
 			opts.Progress(done, jobs)
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if failErr != nil {
+		return nil, failErr
 	}
 	return out, nil
 }

@@ -88,15 +88,25 @@ func (rc *RepComparison) Estimate(metric Metric, node int) (model float64, est E
 	return model, tallyEstimate(t)
 }
 
-// RunReplicated is the replication-aware Run: it solves the model once and
-// runs opts.Replications independent simulations of the workload on the
-// sweep engine, each with its own environment and derived seed.
-func RunReplicated(wl workload.Workload, opts SimOptions) (*RepComparison, error) {
-	out, err := SweepReplicated(func(int) workload.Workload { return wl }, []int{wl.RequestsPerTxn}, opts)
-	if err != nil {
-		return nil, err
+// Replicate runs opts.Replications independent simulations of one
+// workload on the sweep engine and returns their seeds and results in
+// replication order. Replication r runs with RepSeed(opts.Seed, n, r), so
+// replication 0 is the single run with the base seed. It solves no model,
+// so it takes any workload the simulator runs: open arrivals without
+// closed users, and every concurrency-control paradigm.
+func Replicate(wl workload.Workload, opts SimOptions) ([]uint64, []testbed.Results, error) {
+	n := wl.RequestsPerTxn
+	seeds := make([]uint64, max(opts.Replications, 1))
+	for r := range seeds {
+		seeds[r] = RepSeed(opts.Seed, n, r)
 	}
-	return out[0], nil
+	reps, err := runGrid(len(seeds), opts, func(r int) (testbed.Config, string) {
+		return wl.TestbedConfig(seeds[r], opts.Warmup, opts.Duration), fmt.Sprintf("n=%d rep %d", n, r)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return seeds, reps, nil
 }
 
 // SweepReplicated runs a workload constructor over the transaction sizes

@@ -49,7 +49,7 @@ func TestRepSeedScheme(t *testing.T) {
 // Run with the base seed.
 func TestReplicationZeroMatchesSerialRun(t *testing.T) {
 	opts := repOpts(3, 2)
-	rc, err := RunReplicated(workload.MB4(8), opts)
+	_, reps, err := Replicate(workload.MB4(8), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReplicationZeroMatchesSerialRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rc.First().Measured, c.Measured) {
+	if !reflect.DeepEqual(reps[0], c.Measured) {
 		t.Fatal("replication 0 diverges from the serial Run with the same seed")
 	}
 }

@@ -218,55 +218,32 @@ func DefaultParams(nodes int) Params {
 // CC2PL; the others are the classical baselines the contemporaneous
 // modeling literature compares against (Rosenkrantz's prevention schemes,
 // Galler's basic timestamp ordering) plus the modern OCC and
-// deterministic paradigms. The values mirror cc.Paradigm one-to-one; the
-// engine dispatch lives in internal/cc.
-type CCProtocol int
+// deterministic paradigms. It is the cc subsystem's paradigm enum, which
+// also holds the engine dispatch and the names.
+type CCProtocol = cc.Paradigm
 
 const (
 	// CC2PL is two-phase locking with wait-for-graph deadlock detection
 	// (the paper's scheme; the default).
-	CC2PL CCProtocol = iota
+	CC2PL = cc.TwoPhaseDetect
 	// CCWaitDie is 2PL with wait-die prevention: a requester younger than
 	// a conflicting holder aborts instead of waiting.
-	CCWaitDie
+	CCWaitDie = cc.TwoPhaseWaitDie
 	// CCWoundWait is 2PL with wound-wait prevention: an older requester
 	// aborts younger conflicting holders.
-	CCWoundWait
+	CCWoundWait = cc.TwoPhaseWoundWait
 	// CCTimestamp is basic timestamp ordering: no locks, no blocking;
 	// late accesses abort and restart with a fresh timestamp.
-	CCTimestamp
+	CCTimestamp = cc.TimestampOrdering
 	// CCOCC is optimistic concurrency control: execute without blocking,
 	// track read/write sets, backward-validate at commit; validation
 	// conflicts abort under CauseValidation.
-	CCOCC
+	CCOCC = cc.Optimistic
 	// CCQueCC is QueCC-style deterministic execution: accesses are planned
 	// into per-site priority queues at submission and drained in priority
 	// order — no locks, no deadlocks, no probe traffic by construction.
-	CCQueCC
+	CCQueCC = cc.QueueOrdered
 )
-
-// paradigm converts to the cc subsystem's paradigm enum (same values).
-func (c CCProtocol) paradigm() cc.Paradigm { return cc.Paradigm(c) }
-
-// String names the protocol.
-func (c CCProtocol) String() string {
-	switch c {
-	case CC2PL:
-		return "2PL-detect"
-	case CCWaitDie:
-		return "2PL-wait-die"
-	case CCWoundWait:
-		return "2PL-wound-wait"
-	case CCTimestamp:
-		return "basic-TO"
-	case CCOCC:
-		return "OCC"
-	case CCQueCC:
-		return "QueCC"
-	default:
-		return fmt.Sprintf("CCProtocol(%d)", int(c))
-	}
-}
 
 // PlacementConfig activates the data-directory placement subsystem: the
 // granule space of the whole fleet (Layout scaled by the node count) is

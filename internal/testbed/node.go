@@ -197,7 +197,7 @@ func (n *node) initCC() {
 		n.ccp = n.qcc
 	default:
 		n.locks = lock.NewManagerWithDiscipline(n.sys.lockDiscipline(), lock.VictimRequester, n.onGrant)
-		n.ccp = cc.ForLockManager(n.locks, n.sys.cfg.Concurrency.paradigm())
+		n.ccp = cc.ForLockManager(n.locks, n.sys.cfg.Concurrency)
 		if n.sys.cfg.Concurrency == CC2PL {
 			n.detector = probe.NewDetector(probe.SiteID(n.id), (*probeHost)(n))
 		}

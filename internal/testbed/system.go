@@ -153,7 +153,7 @@ func New(cfg Config) (*System, error) {
 		env:    sim.NewEnv(),
 		rnd:    rng.New(cfg.Seed),
 		reg:    make(map[int64]*txnState),
-		ccCaps: cfg.Concurrency.paradigm().Capabilities(),
+		ccCaps: cfg.Concurrency.Capabilities(),
 	}
 	if pc := cfg.Placement; pc != nil {
 		dir, err := placement.NewDirectory(pc.Strategy, len(cfg.Nodes), cfg.Layout.Granules)
